@@ -548,6 +548,48 @@ def save_checkpoint(path, model: RdosrModel) -> None:
         fh.write(buf.getvalue())
 
 
+_HEADER_KEYS = {"config", "band_count", "known_class_ids", "unknown_class_ids",
+                "train_fraction", "arrays"}
+# JSON types a config field accepts: its default's type; a float field also
+# takes an integer, which JSON writes without a point
+_CONFIG_TYPES = {
+    f.name: (int, float) if type(f.default) is float else (type(f.default),)
+    for f in fields(TrainConfig)
+}
+
+
+def _is(x, *kinds: type) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
+def _check_header(path, header) -> None:
+    """Raise FormatError unless the header has the keys, types and
+    non-negative dimensions that save_checkpoint writes."""
+    if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
+        raise FormatError(f"{path}: checkpoint header keys must be {sorted(_HEADER_KEYS)}")
+    config = header["config"]
+    if not isinstance(config, dict) or set(config) != set(_CONFIG_TYPES):
+        raise FormatError(f"{path}: checkpoint config keys must be {sorted(_CONFIG_TYPES)}")
+    for key, kinds in _CONFIG_TYPES.items():
+        if not _is(config[key], *kinds):
+            raise FormatError(f"{path}: config {key} must be of type {kinds[-1].__name__}")
+    if not _is(header["band_count"], int) or header["band_count"] < 1:
+        raise FormatError(f"{path}: band_count must be a positive integer")
+    for key in ("known_class_ids", "unknown_class_ids"):
+        if not isinstance(header[key], list) or not all(_is(c, int) for c in header[key]):
+            raise FormatError(f"{path}: {key} must be a list of integers")
+    if not _is(header["train_fraction"], int, float):
+        raise FormatError(f"{path}: train_fraction must be a number")
+    arrays = header["arrays"]
+    if not isinstance(arrays, list) or not all(
+        isinstance(a, list) and len(a) == 3 and isinstance(a[0], str)
+        and _is(a[1], int) and _is(a[2], int) and a[1] >= 0 and a[2] >= 0
+        for a in arrays
+    ):
+        raise FormatError(f"{path}: arrays must be [name, rows, cols] with rows, cols >= 0")
+
+
 def load_checkpoint(path) -> RdosrModel:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -564,6 +606,7 @@ def load_checkpoint(path) -> RdosrModel:
     except ValueError as exc:
         raise FormatError(f"{path}: unreadable checkpoint header: {exc}") from exc
     offset += blob_len
+    _check_header(path, header)
 
     config = TrainConfig(**header["config"])
     values: dict[str, np.ndarray] = {}
@@ -579,6 +622,8 @@ def load_checkpoint(path) -> RdosrModel:
         offset += nbytes
     if offset != len(raw):
         raise TruncatedError(f"{path}: {len(raw) - offset} trailing bytes")
+    if len(values) != len(header["arrays"]) or not {"norm.mean", "norm.std"} <= values.keys():
+        raise FormatError(f"{path}: repeated array names or missing normalizer arrays")
 
     known = tuple(int(c) for c in header["known_class_ids"])
     rng = np.random.default_rng(0)  # placeholder init, every block is overwritten

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 
 from rdosr import cli
 from rdosr.data import load_cube, load_labels, pair
-from rdosr.models import load_checkpoint
+from rdosr.models import _CKPT_HEADER, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +226,53 @@ def test_eval_missing_model_exit_2(synth_dir, tmp_path, capsys):
          "--labels", str(synth_dir / "labels.hsil")]
     )
     assert rc == 2
+
+
+def _drop_band_count(h):
+    del h["band_count"]
+
+
+def _negate_dims(h):
+    # the byte count 8 * rows * cols stays what the file holds
+    entry = h["arrays"][0]
+    entry[1], entry[2] = -entry[1], -entry[2]
+
+
+def _rename_norm_mean(h):
+    h["arrays"][0][0] = "norm.avg"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h["config"].update(extra=1),
+        _drop_band_count,
+        _negate_dims,
+        lambda h: h["arrays"].__setitem__(0, h["arrays"][0][:2]),
+        lambda h: h["config"].update(lr="fast"),
+        _rename_norm_mean,
+    ],
+    ids=["extra-config-key", "no-band-count", "negative-dim", "not-a-triple", "lr-type",
+         "no-norm-mean"],
+)
+def test_eval_malformed_checkpoint_header_exit_2(synth_dir, trained_dir, tmp_path, edit):
+    raw = (trained_dir / "model.rdck").read_bytes()
+    magic, version, blob_len = _CKPT_HEADER.unpack_from(raw)
+    start = _CKPT_HEADER.size
+    header = json.loads(raw[start : start + blob_len])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    bad = tmp_path / "bad.rdck"
+    bad.write_bytes(_CKPT_HEADER.pack(magic, version, len(blob)) + blob + raw[start + blob_len :])
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdosr", "eval", "--model", str(bad),
+         "--cube", str(synth_dir / "cube.hsid"), "--labels", str(synth_dir / "labels.hsil")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

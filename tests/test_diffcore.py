@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from rdosr.diffcore import (
+    ADAM_CHUNK,
     Adam,
-    AdamState,
     DomainError,
     NumericError,
     ParamBlock,
     ShapeError,
     activation,
-    adam_step,
     affine,
     affine_backward,
     glorot_uniform,
@@ -17,9 +16,10 @@ from rdosr.diffcore import (
     l1_mean,
     l2_recon_mean,
     softmax,
+    sigmoid,
     softmax_xent,
 )
-from util import KINK_MARGIN, grads, pack, param_loss_fn, unpack
+from util import KINK_MARGIN, ReferenceAdam, grads, pack, param_loss_fn, sigmoid_split, unpack
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +88,14 @@ def test_activation_extreme_inputs_stay_finite():
     assert np.isfinite(activation("softplus", x)).all()
 
 
+def test_sigmoid_matches_split_by_sign_form_bit_for_bit():
+    edges = np.array([0.0, 1e-8, 1.0, 36.0, 709.0, 710.0, 745.0, 746.0, np.inf])
+    rng = np.random.default_rng(4)
+    grid = np.concatenate([edges, -edges, rng.normal(0.0, 30.0, 4000), rng.uniform(-800, 800, 4000)])
+    x = grid.reshape(-1, 1)
+    assert np.array_equal(sigmoid(x).view(np.int64), sigmoid_split(x).view(np.int64))
+
+
 @pytest.mark.parametrize("kind", ["relu", "sigmoid", "softplus"])
 def test_activation_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(11)
@@ -138,6 +146,24 @@ def test_softmax_xent_input_validation():
         softmax_xent(np.zeros((2, 3)), np.zeros((2, 2)))
     with pytest.raises(DomainError):
         softmax_xent(np.zeros((1, 2)), [[0.5, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "onehot",
+    [[[0.5, 0.0, 0.5]], [[1.0, 1.0, 0.0]], [[np.nan, 1.0, 0.0]], [[2.0, -1.0, 0.0]]],
+    ids=["half", "two-ones", "nan", "sums-to-one"],
+)
+def test_softmax_xent_rejects_malformed_onehot(onehot):
+    y = np.array(onehot)
+    # the membership test the equality form replaced rejects the same rows
+    assert not np.isin(y, (0.0, 1.0)).all() or not (y.sum(axis=1) == 1.0).all()
+    with pytest.raises(DomainError):
+        softmax_xent(np.zeros((1, 3)), y)
+
+
+def test_softmax_xent_accepts_signed_zero_onehot():
+    loss, _ = softmax_xent(np.zeros((1, 3)), [[-0.0, 1.0, 0.0]])
+    assert np.isclose(loss, np.log(3.0))
 
 
 def test_softmax_xent_gradient_matches_finite_differences():
@@ -222,32 +248,32 @@ def test_l2_recon_mean_gradient_matches_finite_differences():
 
 def test_adam_first_step_closed_form():
     p = ParamBlock(np.array([[1.0]]))
-    state = AdamState(p, lr=1e-3)
+    opt = Adam([p], lr=1e-3)
     p.grad[...] = 0.5
-    adam_step(p, state)
+    opt.step()
     # first step collapses to -lr * g / (|g| + eps) after bias correction;
     # tolerance covers ulp noise in the (1 - beta^t) corrections
     expected = -1e-3 * 0.5 / (0.5 + 1e-8)
     assert np.isclose(p.value[0, 0] - 1.0, expected, rtol=0.0, atol=1e-12)
-    assert state.step_count == 1
+    assert opt.step_count == 1
     assert p.grad[0, 0] == 0.0
 
 
 def test_adam_zero_gradient_leaves_parameter_unchanged():
     p = ParamBlock(np.array([[2.0, -3.0]]))
-    state = AdamState(p)
-    adam_step(p, state)
+    opt = Adam([p])
+    opt.step()
     assert np.array_equal(p.value, [[2.0, -3.0]])
-    assert state.step_count == 1
+    assert opt.step_count == 1
 
 
 def test_adam_descends_quadratic():
     p = ParamBlock(np.array([[1.0]]))
-    state = AdamState(p, lr=1e-3)
+    opt = Adam([p], lr=1e-3)
     distances = [abs(p.value[0, 0])]
     for _ in range(2):
         p.grad[...] = 2.0 * p.value  # gradient of w^2
-        adam_step(p, state)
+        opt.step()
         distances.append(abs(p.value[0, 0]))
     assert distances[1] < distances[0]
     assert distances[2] < distances[1]
@@ -255,13 +281,13 @@ def test_adam_descends_quadratic():
 
 def test_adam_state_invariants():
     p = ParamBlock(np.zeros((2, 3)))
-    state = AdamState(p)
-    assert state.first_moment.shape == p.value.shape
+    opt = Adam([p])
+    assert opt.first_moment.size == p.value.size
     for step in range(1, 4):
         p.grad[...] = 1.0
-        adam_step(p, state)
-        assert state.step_count == step
-        assert (state.second_moment >= 0.0).all()
+        opt.step()
+        assert opt.step_count == step
+        assert (opt.second_moment >= 0.0).all()
 
 
 def test_adam_wrapper_zeroes_and_steps():
@@ -272,6 +298,42 @@ def test_adam_wrapper_zeroes_and_steps():
         p.grad[...] = 1.0
     opt.step()
     assert all(p.grad.max() == 0.0 for p in params)
+
+
+def test_adam_rebinds_blocks_as_views_and_keeps_their_contents():
+    rng = np.random.default_rng(8)
+    params = [ParamBlock(rng.normal(size=shape)) for shape in ((3, 4), (1, 4), (5, 1))]
+    params[1].grad[...] = 2.5
+    before = [(p.value.copy(), p.grad.copy()) for p in params]
+    opt = Adam(params)
+    for (p, sl), (value, grad) in zip(opt.pairs, before):
+        assert np.shares_memory(p.value, opt.value) and np.shares_memory(p.grad, opt.grad)
+        assert np.array_equal(p.value, value) and np.array_equal(p.grad, grad)
+        assert np.array_equal(opt.value[sl], value.ravel())
+    opt.zero_grad()
+    assert not opt.grad.any() and not params[1].grad.any()
+
+
+def test_adam_matches_per_block_reference_bit_for_bit():
+    rng = np.random.default_rng(6)
+    shapes = [(64, 200), (1, 200), (200, 37), (1, 37), (37, 3), (1, 3), (1, 1)]
+    assert sum(r * c for r, c in shapes) > ADAM_CHUNK
+    init = [rng.normal(size=shape) for shape in shapes]
+    flat = [ParamBlock(a) for a in init]
+    ref = [ParamBlock(a) for a in init]
+    opt, ref_opt = Adam(flat, lr=1e-2), ReferenceAdam(ref, lr=1e-2)
+    for _ in range(5):
+        for p, q in zip(flat, ref):
+            g = rng.normal(size=p.shape) * rng.choice([1e-6, 1.0, 1e3])
+            p.grad[...] = g
+            q.grad[...] = g
+        opt.step()
+        ref_opt.step()
+    for p, q in zip(flat, ref):
+        assert np.array_equal(p.value, q.value)
+        assert not p.grad.any()
+    assert np.array_equal(opt.first_moment, np.concatenate([m.ravel() for m in ref_opt.first_moment]))
+    assert np.array_equal(opt.second_moment, np.concatenate([v.ravel() for v in ref_opt.second_moment]))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from rdosr.models import (
 )
 from util import (
     KINK_MARGIN,
+    ReferenceAdam,
     encoder_margin,
     grads,
     pack,
@@ -504,6 +505,22 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "again.rdck"
     save_checkpoint(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_flat_adam_checkpoint_matches_per_block_reference(tmp_path, monkeypatch):
+    # F's 1.1 M parameters span many Adam chunks; stage 2 fits in one
+    ds = small_dataset(classes=3, per_class=40)
+    cfg = quick_config(epochs_stage1=3, epochs_stage2=4, batch_size=32)
+    blobs = []
+    for optimizer in (None, ReferenceAdam):
+        if optimizer is not None:
+            monkeypatch.setattr("rdosr.models.Adam", optimizer)
+        model, logs, _ = train_pipeline(ds, {3}, cfg, 0.5)
+        assert len(logs["stage2"]) == 4
+        path = tmp_path / f"model{len(blobs)}.rdck"
+        save_checkpoint(path, model)
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_checkpoint_format_errors(tmp_path):

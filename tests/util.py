@@ -74,6 +74,47 @@ def encoder_margin(encoder, z: np.ndarray):
     return margin, s
 
 
+class ReferenceAdam:
+    """Per-block Adam: the plain arithmetic the flat-buffer `Adam` must match
+    bit for bit. Blocks keep their own arrays and are never rebound."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.params = list(params)
+        self.first_moment = [np.zeros_like(p.value) for p in self.params]
+        self.second_moment = [np.zeros_like(p.value) for p in self.params]
+        self.step_count = 0
+        self.lr, self.beta1, self.beta2, self.epsilon = lr, beta1, beta2, epsilon
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
+
+    def step(self) -> None:
+        self.step_count += 1
+        t = self.step_count
+        for p, m, v in zip(self.params, self.first_moment, self.second_moment):
+            g = p.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            m_hat = m / (1.0 - self.beta1**t)
+            v_hat = v / (1.0 - self.beta2**t)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            p.zero_grad()
+
+
+def sigmoid_split(x: np.ndarray) -> np.ndarray:
+    """Sigmoid split by sign so neither tail overflows exp: the reference
+    the branchless `sigmoid` must match bit for bit."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def auc_bruteforce(scores_known, scores_unknown) -> float:
     """Mann-Whitney statistic by direct pair counting; ties count one half."""
     k = np.asarray(scores_known, dtype=np.float64).ravel()
