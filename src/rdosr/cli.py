@@ -224,10 +224,9 @@ def cmd_eval(args) -> int:
             frozenset(model.unknown_class_ids), model.train_fraction, model.config.seed
         ),
     )
-    known_scores = model.open_score(parts.test_known.pixels)
+    known_scores, predictions = model.open_score(parts.test_known.pixels, with_labels=True)
     unknown_scores = model.open_score(parts.unknown_pool.pixels)
     curve = openset.roc(known_scores, unknown_scores)
-    predictions = model.closed_predict(parts.test_known.pixels)
     accuracy = float(np.mean(predictions == parts.test_known.labels))
     open_frac = openset.openness(model.n_known, dataset.class_count, model.n_known)
     print(f"auc={curve.auc:.4f}")

@@ -35,7 +35,6 @@ __all__ = [
     "stick_break_backward",
     "entropy_sparsity",
     "StickHead",
-    "encode",
 ]
 
 # sigmoid output clamp: keeps the power map away from the {0,1} singularities
@@ -153,7 +152,9 @@ class StickHead:
     def c(self) -> int:
         return self.u_w.shape[1]
 
-    def forward(self, hidden: np.ndarray) -> np.ndarray:
+    def forward(self, hidden: np.ndarray, keep: bool = True) -> np.ndarray:
+        """Deterministic encoder map hidden -> s (Kumaraswamy, then sticks);
+        keep=False keeps no backward cache."""
         hidden = as_matrix(hidden, "hidden")
         a_u = affine(self.u_w.value, self.u_b.value, hidden)
         sig = sigmoid(a_u)
@@ -163,7 +164,7 @@ class StickHead:
         beta = np.maximum(beta_raw, BETA_FLOOR)
         v = kuma_v(u, beta)
         s = stick_break(v)
-        self._cache = (hidden, a_b, sig, u, beta_raw, beta, v)
+        self._cache = (hidden, a_b, sig, u, beta_raw, beta, v) if keep else None
         return s
 
     def backward(self, d_s: np.ndarray) -> np.ndarray:
@@ -185,8 +186,3 @@ class StickHead:
 
     def params(self) -> list[ParamBlock]:
         return [self.u_w, self.u_b, self.beta_w, self.beta_b]
-
-
-def encode(head: StickHead, hidden) -> np.ndarray:
-    """Deterministic encoder map hidden -> s (Kumaraswamy, then sticks)."""
-    return head.forward(hidden)

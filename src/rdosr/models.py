@@ -212,8 +212,8 @@ class EncoderE:
             )
         return cls(trunk, head, dirichlet)
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return self.head.forward(self.trunk.forward(z))
+    def forward(self, z: np.ndarray, keep: bool = True) -> np.ndarray:
+        return self.head.forward(self.trunk.forward(z, keep=keep), keep=keep)
 
     def backward(self, d_s: np.ndarray) -> np.ndarray:
         return self.trunk.backward(self.head.backward(d_s))
@@ -380,10 +380,11 @@ def train_stage2(
 
 
 def embed(f: Stack, x: np.ndarray, scale: float) -> np.ndarray:
-    """Frozen embedding of normalized pixels: classifier logits / scale."""
+    """Frozen embedding of normalized pixels: classifier logits / scale.
+    Forward only: F keeps no backward cache."""
     if scale <= 0.0:
         raise DomainError("embedding scale must be > 0")
-    return f.forward(as_matrix(x, "x")) / scale
+    return f.forward(as_matrix(x, "x"), keep=False) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -409,31 +410,41 @@ class RdosrModel:
     def n_known(self) -> int:
         return len(self.known_class_ids)
 
-    def _encoder_input(self, normalized: np.ndarray) -> np.ndarray:
-        if self.config.space == "image":
-            return normalized
-        return embed(self.f, normalized, self.config.embedding_scale)
-
-    def open_score(self, pixels: np.ndarray) -> np.ndarray:
+    def open_score(self, pixels: np.ndarray, with_labels: bool = False):
         """Unknownness score per pixel; higher means more likely unknown.
 
         Reconstruction-error modes return ||z - D(E(z))||_2 per row; the
-        softmax baseline returns 1 - max class probability.
+        softmax baseline returns 1 - max class probability. With
+        with_labels=True returns (scores, labels), the labels equal to
+        `closed_predict(pixels)`; F runs at most once either way. Scoring is
+        forward only: no layer keeps a backward cache.
         """
         xn = self.normalizer.apply(as_matrix(pixels, "pixels"))
+        logits = None
         if self.config.mode == "softmax":
-            return 1.0 - softmax(self.f.forward(xn)).max(axis=1)
-        if self.e is None or self.d is None:
-            raise DomainError("model has no trained reconstruction branch")
-        z = self._encoder_input(xn)
-        zhat = self.d.forward(self.e.forward(z))
-        diff = z - zhat
-        return np.sqrt((diff * diff).sum(axis=1))
+            logits = self.f.forward(xn, keep=False)
+            scores = 1.0 - softmax(logits).max(axis=1)
+        else:
+            if self.e is None or self.d is None:
+                raise DomainError("model has no trained reconstruction branch")
+            z = xn
+            if self.config.space == "embedding":
+                # the same bits as embed(); the labels need the unscaled logits
+                logits = self.f.forward(xn, keep=False)
+                z = logits / self.config.embedding_scale
+            zhat = self.d.forward(self.e.forward(z, keep=False), keep=False)
+            diff = z - zhat
+            scores = np.sqrt((diff * diff).sum(axis=1))
+        if not with_labels:
+            return scores
+        if logits is None:
+            logits = self.f.forward(xn, keep=False)
+        return scores, np.argmax(logits, axis=1) + 1
 
     def closed_predict(self, pixels: np.ndarray) -> np.ndarray:
         """Dense known-class labels 1..L (ties break to the lowest index)."""
         xn = self.normalizer.apply(as_matrix(pixels, "pixels"))
-        return np.argmax(self.f.forward(xn), axis=1) + 1
+        return np.argmax(self.f.forward(xn, keep=False), axis=1) + 1
 
     def named_params(self) -> list[tuple[str, ParamBlock]]:
         out = _stack_named("f", self.f)

@@ -8,7 +8,7 @@ pixel whose score clears the threshold.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,24 +146,10 @@ def sweep(
     """
     if dataset.class_count < 2:
         raise DomainError("sweep needs at least 2 classes")
-    classes = list(range(1, dataset.class_count + 1))
-    results: dict[int, SweepRow] = {}
-    if jobs <= 1:
-        for cls in classes:
-            results[cls] = _guarded_run(dataset, config, train_fraction, cls)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                cls: pool.submit(_sweep_one, dataset, config, train_fraction, cls)
-                for cls in classes
-            }
-            for cls, fut in futures.items():
-                try:
-                    results[cls] = SweepRow(cls, float(fut.result()))
-                except Exception as exc:  # noqa: BLE001 - annotate and continue
-                    results[cls] = SweepRow(cls, None, f"class {cls}: {exc}")
-
-    rows = tuple(results[cls] for cls in classes)
+    classes = range(1, dataset.class_count + 1)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else _InlineExecutor() as pool:
+        futures = [pool.submit(_sweep_one, dataset, config, train_fraction, c) for c in classes]
+        rows = tuple(_row(cls, fut) for cls, fut in zip(classes, futures))
     aucs = [r.auc for r in rows if r.auc is not None]
     average = float(np.mean(aucs)) if aucs else float("nan")
     l_total = dataset.class_count
@@ -174,10 +160,24 @@ def sweep(
     )
 
 
-def _guarded_run(dataset, config, train_fraction, cls) -> SweepRow:
+class _InlineExecutor(Executor):
+    """Runs each submitted call at once, in this process: the serial sweep
+    goes through the same futures as the parallel one."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        fut = Future()
+        try:
+            fut.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - delivered through the future
+            fut.set_exception(exc)
+        return fut
+
+
+def _row(cls: int, fut: Future) -> SweepRow:
+    """A run's row; a failed run is annotated with its class and message."""
     try:
-        return SweepRow(cls, float(_sweep_one(dataset, config, train_fraction, cls)))
-    except Exception as exc:  # noqa: BLE001
+        return SweepRow(cls, float(fut.result()))
+    except Exception as exc:  # noqa: BLE001 - annotate and continue
         return SweepRow(cls, None, f"class {cls}: {exc}")
 
 

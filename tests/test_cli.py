@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from rdosr import cli
-from rdosr.data import load_cube, load_labels, pair
+from rdosr import cli, models
+from rdosr.data import SplitSpec, load_cube, load_labels, pair, split
 from rdosr.models import _CKPT_HEADER, load_checkpoint
 
 
@@ -205,6 +205,34 @@ def test_eval_prints_metrics_and_exports(synth_dir, trained_dir, tmp_path, capsy
     assert hist_lines[0] == "bin_lo,bin_hi,count_known,count_unknown"
     assert len(hist_lines) == 21
 
+
+
+def test_eval_runs_f_once_per_scored_pixel(synth_dir, trained_dir, monkeypatch, capsys):
+    # the known pixels' scores and closed-set labels come from one F pass
+    rows = []
+    load = models.load_checkpoint
+
+    def load_counting(path):
+        model = load(path)
+        forward = model.f.forward
+
+        def counted(x, *args, **kwargs):
+            rows.append(len(x))
+            return forward(x, *args, **kwargs)
+
+        monkeypatch.setattr(model.f, "forward", counted)
+        return model
+
+    monkeypatch.setattr(models, "load_checkpoint", load_counting)
+    cube, labels = synth_dir / "cube.hsid", synth_dir / "labels.hsil"
+    rc = cli.main(["eval", "--model", str(trained_dir), "--cube", str(cube), "--labels", str(labels)])
+    assert rc == 0
+    model = load(trained_dir / "model.rdck")
+    parts = split(
+        pair(load_cube(cube), load_labels(labels)),
+        SplitSpec(frozenset(model.unknown_class_ids), model.train_fraction, model.config.seed),
+    )
+    assert rows == [parts.test_known.pixel_count, parts.unknown_pool.pixel_count]
 
 def test_eval_class_mismatch_exit_2(trained_dir, tmp_path, capsys):
     rc = cli.main(

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from rdosr.diffcore import DomainError, ParamBlock, grad_check
 from rdosr.dirichletnet import (
     StickHead,
-    encode,
     entropy_sparsity,
     kuma_v,
     kuma_v_backward,
@@ -194,7 +193,7 @@ def test_stickhead_zero_weights_constant_sanity():
     head = StickHead.create(3, 10, np.random.default_rng(0))
     for p in head.params():
         p.value[...] = 0.0
-    s = encode(head, np.random.default_rng(1).normal(size=(4, 3)))
+    s = head.forward(np.random.default_rng(1).normal(size=(4, 3)))
     # u = 0.5 and beta = ln 2 everywhere, so every stick is strictly positive
     assert (s > 0.0).all()
     assert (s.sum(axis=1) <= 1.0 + 1e-12).all()
@@ -204,7 +203,7 @@ def test_stickhead_zero_weights_constant_sanity():
 def test_stickhead_output_invariants_random():
     rng = np.random.default_rng(5)
     head = StickHead.create(6, 10, rng)
-    s = encode(head, rng.normal(size=(200, 6)) * 3.0)
+    s = head.forward(rng.normal(size=(200, 6)) * 3.0)
     assert (s >= 0.0).all()
     assert (s.sum(axis=1) <= 1.0 + 1e-12).all()
 

@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rdosr.data import synth_generate
+from rdosr.data import Normalizer, synth_generate
 from rdosr.diffcore import DomainError, NumericError, grad_check
 from rdosr.models import (
+    F_HIDDEN,
+    MODES,
+    SPACES,
     EncoderE,
     RdosrModel,
     TrainConfig,
+    _build_networks,
     build_classifier_c,
     build_classifier_f,
     build_decoder_d,
@@ -427,6 +433,68 @@ def test_closed_predict_accuracy_and_tie_break():
     model.f.layers[-1].b.value[...] = 0.0
     assert (model.closed_predict(parts.test_known.pixels[:3]) == 1).all()
 
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("mode", MODES)
+def test_open_score_with_labels_matches_separate_calls(mode, space):
+    ds = small_dataset()
+    cfg = quick_config(mode=mode, space=space, epochs_stage1=3, epochs_stage2=2)
+    model, _, _ = train_pipeline(ds, {4}, cfg, 0.5)
+    scores, labels = model.open_score(ds.pixels, with_labels=True)
+    assert np.array_equal(scores, model.open_score(ds.pixels))
+    assert np.array_equal(labels, model.closed_predict(ds.pixels))
+
+
+def _caches(*networks):
+    """Every backward cache held by the layers of the given stacks/encoders."""
+    layers = []
+    for net in networks:
+        layers += [*net.trunk.layers, net.head] if isinstance(net, EncoderE) else net.layers
+    return [getattr(l, a) for l in layers for a in ("_x", "_y", "_cache") if hasattr(l, a)]
+
+
+def test_scoring_keeps_no_backward_cache():
+    ds = small_dataset()
+    cfg = quick_config(epochs_stage1=2, epochs_stage2=2)
+    model, _, parts = train_pipeline(ds, {4}, cfg, 0.5)
+    f, e, d = model.f, model.e, model.d
+    probe = parts.test_known.pixels
+    xn = model.normalizer.apply(probe)
+    scorers = (
+        lambda: model.open_score(probe),
+        lambda: model.closed_predict(probe),
+        lambda: embed(f, xn, cfg.embedding_scale),
+    )
+    # stage 2 left E's and D's caches filled; open_score clears them
+    assert all(c is not None for c in _caches(e, d))
+    for score in scorers:
+        f.forward(xn)  # a training pass fills F's caches
+        assert all(c is not None for c in _caches(f))
+        score()
+        assert all(c is None for c in _caches(f))
+    assert all(c is None for c in _caches(f, e, d))
+
+
+def test_open_score_peak_memory_stays_below_three_widest_activations():
+    # F's widest activation for 4000 rows is 4000 x 1024 float64 (32.8 MB);
+    # keeping every layer's input for a backward pass would hold about 4x that
+    bands, n_known, rows = 64, 5, 4000
+    rng = np.random.default_rng(0)
+    config = TrainConfig()
+    model = RdosrModel(
+        config, bands, tuple(range(1, n_known + 1)), (n_known + 1,), 0.5,
+        Normalizer(mean=np.zeros(bands), std=np.ones(bands)),
+        *_build_networks(config, bands, n_known, rng),
+    )
+    pixels = rng.normal(size=(rows, bands))
+    tracemalloc.start()
+    try:
+        model.open_score(pixels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * rows * max(F_HIDDEN) * 8
 
 def test_normalizer_fitted_on_known_training_pixels_only():
     ds = small_dataset()
