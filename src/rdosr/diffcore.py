@@ -26,7 +26,6 @@ __all__ = [
     "glorot_uniform",
     "affine",
     "affine_backward",
-    "activation",
     "relu",
     "sigmoid",
     "softplus",
@@ -188,7 +187,10 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.nd
 
 
 def affine(w, b, x) -> np.ndarray:
-    """Batched affine map y = x @ w + b, bias broadcast across rows."""
+    """Batched affine map y = x @ w + b, bias broadcast across rows.
+
+    The checked entry point; layers call `_affine` on operands they built.
+    """
     w = as_matrix(w, "w")
     b = as_matrix(b, "b")
     x = as_matrix(x, "x")
@@ -201,6 +203,10 @@ def affine(w, b, x) -> np.ndarray:
         raise ShapeError(
             f"affine: bias shape {b.shape} does not match output width {w.shape[1]}"
         )
+    return _affine(w, b, x)
+
+
+def _affine(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     # adding the bias in place gives the same bits as `x @ w + b` without a
     # second output-sized array
     y = x @ w
@@ -225,7 +231,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     # so this equals the split-by-sign form bit for bit
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    # 1/d and e/d as one division: the numerator is picked first
+    y = np.where(x >= 0, 1.0, e)
+    y /= d
+    return y
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -250,14 +259,6 @@ _ACTIVATIONS = {
     "sigmoid": (sigmoid, _sigmoid_grad),
     "softplus": (softplus, _softplus_grad),
 }
-
-
-def activation(kind: str, x) -> np.ndarray:
-    """Elementwise activation; kind is one of relu, sigmoid, softplus."""
-    if kind not in _ACTIVATIONS:
-        raise DomainError(f"unknown activation kind {kind!r}")
-    x = require_finite(as_matrix(x, "x"), "x")
-    return _ACTIVATIONS[kind][0](x)
 
 
 def softmax(logits) -> np.ndarray:
@@ -285,11 +286,16 @@ def softmax_xent(logits, onehot):
     if z.shape != y.shape:
         raise ShapeError(f"softmax_xent: logits {z.shape} vs onehot {y.shape}")
     _check_onehot(y)
+    return _softmax_xent(z, y)
+
+
+def _softmax_xent(z: np.ndarray, y: np.ndarray):
     n = z.shape[0]
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     sums = e.sum(axis=1)
-    loss = float(np.mean(np.log(sums) - (shifted * y).sum(axis=1)))
+    # sum / n is the same division np.mean makes, without its Python wrapper
+    loss = float((np.log(sums) - (shifted * y).sum(axis=1)).sum() / n)
     p = e / sums[:, None]
     return loss, (p - y) / n
 
@@ -302,6 +308,10 @@ def l1_mean(x):
     x = as_matrix(x, "x")
     if x.shape[0] == 0:
         raise ShapeError("l1_mean: empty batch")
+    return _l1_mean(x)
+
+
+def _l1_mean(x: np.ndarray):
     n = x.shape[0]
     return float(np.abs(x).sum() / n), np.sign(x) / n
 
@@ -317,10 +327,14 @@ def l2_recon_mean(z, zhat):
         raise ShapeError(f"l2_recon_mean: z {z.shape} vs zhat {zh.shape}")
     if z.shape[0] == 0:
         raise ShapeError("l2_recon_mean: empty batch")
+    return _l2_recon_mean(z, zh)
+
+
+def _l2_recon_mean(z: np.ndarray, zh: np.ndarray):
     n = z.shape[0]
     diff = z - zh
     norms = np.sqrt((diff * diff).sum(axis=1))
-    value = float(norms.mean())
+    value = float(norms.sum() / n)
     # diff is exactly zero wherever the norm is, so 0/1 keeps those rows at 0
     safe = np.where(norms > 0.0, norms, 1.0)
     d_z = diff / (n * safe[:, None])
@@ -349,9 +363,9 @@ class AffineLayer:
 
     def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
         """With keep=False the input is not cached (and an old cache is
-        dropped): the call cannot be followed by `backward`."""
-        x = as_matrix(x, "x")
-        y = affine(self.w.value, self.b.value, x)
+        dropped): the call cannot be followed by `backward`. `x` is a
+        matrix of the layer's input width; callers validate it."""
+        y = _affine(self.w.value, self.b.value, x)
         self._x = x if keep else None
         return y
 

@@ -18,7 +18,7 @@ from .diffcore import (
     DomainError,
     ParamBlock,
     ShapeError,
-    affine,
+    _affine,
     affine_backward,
     as_matrix,
     glorot_uniform,
@@ -63,10 +63,14 @@ def kuma_v(u, beta) -> np.ndarray:
 
 def kuma_v_backward(d_v: np.ndarray, u: np.ndarray, beta: np.ndarray, v: np.ndarray):
     """Gradients of kuma_v given upstream d_v: returns (d_u, d_beta)."""
-    inv_b = 1.0 / beta
-    d_u = d_v * v * inv_b / u
-    d_beta = -d_v * v * np.log(u) * inv_b * inv_b
-    return d_u, d_beta
+    return _kuma_v_backward(d_v, u, 1.0 / beta, v)
+
+
+def _kuma_v_backward(d_v: np.ndarray, u: np.ndarray, inv_b: np.ndarray, v: np.ndarray):
+    # d_u = d_v*v*inv_b/u and d_beta = -d_v*v*log(u)*inv_b*inv_b share d_v*v;
+    # negating it equals negating d_v first, bit for bit
+    dvv = d_v * v
+    return dvv * inv_b / u, -dvv * np.log(u) * inv_b * inv_b
 
 
 def stick_break(v) -> np.ndarray:
@@ -89,13 +93,23 @@ def _leftover_before(v: np.ndarray) -> np.ndarray:
 def stick_break_backward(d_s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Exact gradient of stick_break, walked through the leftover-stick
     recursion (no division, so rows containing v = 1 stay finite)."""
-    prev = _leftover_before(v)
-    d_v = np.empty_like(v)
-    d_rem = np.zeros(v.shape[0])
-    for j in range(v.shape[1] - 1, -1, -1):
-        # s_j = v_j * r_{j-1} and r_j = r_{j-1} * (1 - v_j)
-        d_v[:, j] = (d_s[:, j] - d_rem) * prev[:, j]
-        d_rem = d_s[:, j] * v[:, j] + d_rem * (1.0 - v[:, j])
+    return _stick_break_backward(d_s, v, _leftover_before(v))
+
+
+def _stick_break_backward(d_s: np.ndarray, v: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    # s_j = v_j * r_{j-1} and r_j = r_{j-1} * (1 - v_j), so the gradient
+    # reaching r_{j-1} from the sticks after it is
+    # rem[j-1] = d_s_j * v_j + rem[j] * (1 - v_j), with rem[last] = 0. The
+    # recursion runs over the rows of the transposed (stick, sample) arrays,
+    # which are contiguous.
+    dsv = np.multiply(d_s.T, v.T, order="C")
+    omv = np.subtract(1.0, v.T, order="C")
+    rem = np.zeros_like(dsv)
+    for j in range(rem.shape[0] - 1, 0, -1):
+        np.multiply(rem[j], omv[j], out=rem[j - 1])
+        rem[j - 1] += dsv[j]
+    d_v = d_s - rem.T
+    d_v *= prev
     return d_v
 
 
@@ -110,6 +124,10 @@ def entropy_sparsity(s):
     s = as_matrix(s, "s")
     if s.shape[0] == 0:
         raise ShapeError("entropy_sparsity: empty batch")
+    return _entropy_sparsity(s)
+
+
+def _entropy_sparsity(s: np.ndarray):
     n = s.shape[0]
     a = np.abs(s)
     norms = a.sum(axis=1)
@@ -117,13 +135,14 @@ def entropy_sparsity(s):
     safe_n = np.where(live, norms, 1.0)
     s_hat = a / safe_n[:, None]
     active = s_hat > 0.0
-    logs = np.where(active, np.log(np.where(active, s_hat, 1.0)), 0.0)
+    # log(1.0) is +0.0, so inactive entries need no second mask
+    logs = np.log(np.where(active, s_hat, 1.0))
     h_rows = -(s_hat * logs).sum(axis=1)
-    h_rows[~live] = 0.0
-    value = float(h_rows.mean())
-    d_a = -(logs + h_rows[:, None]) / safe_n[:, None]
-    d_a[~active] = 0.0
-    d_a[~live] = 0.0
+    if not live.all():
+        h_rows[~live] = 0.0
+    value = float(h_rows.sum() / n)
+    # every entry of a dead row is inactive, so one mask zeroes both
+    d_a = np.where(active, -(logs + h_rows[:, None]) / safe_n[:, None], 0.0)
     return value, d_a * np.sign(s) / n
 
 
@@ -154,23 +173,28 @@ class StickHead:
 
     def forward(self, hidden: np.ndarray, keep: bool = True) -> np.ndarray:
         """Deterministic encoder map hidden -> s (Kumaraswamy, then sticks);
-        keep=False keeps no backward cache."""
-        hidden = as_matrix(hidden, "hidden")
-        a_u = affine(self.u_w.value, self.u_b.value, hidden)
+        keep=False keeps no backward cache. `hidden` is a matrix of the
+        head's input width; callers validate it."""
+        a_u = _affine(self.u_w.value, self.u_b.value, hidden)
         sig = sigmoid(a_u)
         u = np.clip(sig, U_CLAMP, 1.0 - U_CLAMP)
-        a_b = affine(self.beta_w.value, self.beta_b.value, hidden)
+        a_b = _affine(self.beta_w.value, self.beta_b.value, hidden)
         beta_raw = softplus(a_b)
         beta = np.maximum(beta_raw, BETA_FLOOR)
-        v = kuma_v(u, beta)
-        s = stick_break(v)
-        self._cache = (hidden, a_b, sig, u, beta_raw, beta, v) if keep else None
+        # u lies in [U_CLAMP, 1 - U_CLAMP] and beta >= BETA_FLOOR > 0, so
+        # v = u**(1/beta) lies in [0, 1]: the domains kuma_v and stick_break
+        # check hold by construction
+        inv_b = 1.0 / beta
+        v = u**inv_b
+        prev = _leftover_before(v)
+        s = v * prev
+        self._cache = (hidden, a_b, sig, u, beta_raw, inv_b, v, prev) if keep else None
         return s
 
     def backward(self, d_s: np.ndarray) -> np.ndarray:
-        hidden, a_b, sig, u, beta_raw, beta, v = self._cache
-        d_v = stick_break_backward(d_s, v)
-        d_u, d_beta = kuma_v_backward(d_v, u, beta, v)
+        hidden, a_b, sig, u, beta_raw, inv_b, v, prev = self._cache
+        d_v = _stick_break_backward(d_s, v, prev)
+        d_u, d_beta = _kuma_v_backward(d_v, u, inv_b, v)
         # clamps pass no gradient where they were active
         d_u = np.where((sig > U_CLAMP) & (sig < 1.0 - U_CLAMP), d_u, 0.0)
         d_beta = np.where(beta_raw >= BETA_FLOOR, d_beta, 0.0)

@@ -37,13 +37,14 @@ from .diffcore import (
     ParamBlock,
     ShapeError,
     Stack,
+    _check_onehot,
+    _l1_mean,
+    _l2_recon_mean,
+    _softmax_xent,
     as_matrix,
-    l1_mean,
-    l2_recon_mean,
     softmax,
-    softmax_xent,
 )
-from .dirichletnet import StickHead, entropy_sparsity
+from .dirichletnet import StickHead, _entropy_sparsity
 
 __all__ = [
     "MODES",
@@ -249,6 +250,44 @@ def one_hot(labels_dense: np.ndarray, class_count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# input validation: the public entry points check what they are given, and
+# the layers and training steps behind them run on the checked arrays
+
+
+def _as_input(x, net, name: str) -> np.ndarray:
+    """`x` as a matrix as wide as the network's input."""
+    x = as_matrix(x, name)
+    # every network here lists its input-facing weight matrix first
+    width = net.params()[0].shape[0]
+    if x.shape[1] != width:
+        raise ShapeError(f"{name} has {x.shape[1]} columns, the network takes {width}")
+    return x
+
+
+def _batch(net_in, net_out: Stack, x, y_onehot) -> tuple[np.ndarray, np.ndarray]:
+    """A non-empty batch of network inputs and their one-hot labels."""
+    x = _as_input(x, net_in, "x")
+    y = as_matrix(y_onehot, "onehot")
+    expected = (x.shape[0], net_out.layers[-1].w.shape[1])
+    if x.shape[0] == 0 or y.shape != expected:
+        raise ShapeError(f"one-hot labels have shape {y.shape}, expected non-empty {expected}")
+    _check_onehot(y)
+    return x, y
+
+
+def _training_set(net_in, net_out: Stack, x, labels_dense, stage: str):
+    """Checked once per run: returns (x, labels, onehot). The one-hot is
+    valid by construction, so the steps need not check it again."""
+    x = _as_input(x, net_in, f"{stage} inputs")
+    if x.shape[0] == 0:
+        raise DomainError(f"{stage}: empty training set")
+    labels = np.asarray(labels_dense)
+    if labels.shape != (x.shape[0],):
+        raise ShapeError(f"{stage}: labels have shape {labels.shape}, expected ({x.shape[0]},)")
+    return x, labels, one_hot(labels, net_out.layers[-1].w.shape[1])
+
+
+# ---------------------------------------------------------------------------
 # objectives
 
 
@@ -256,9 +295,14 @@ def stage1_loss(f: Stack, x, y_onehot, lambda_f: float, lambda_z: float, backwar
     """Closed-set objective: lambda_f * cross-entropy + lambda_z * mean L1 of
     the embedding logits. Returns (loss, logits); with backward=True the
     parameter gradients are accumulated."""
-    logits = f.forward(as_matrix(x, "x"))
-    xent, d_xent = softmax_xent(logits, y_onehot)
-    l1, d_l1 = l1_mean(logits)
+    x, y = _batch(f, f, x, y_onehot)
+    return _stage1_loss(f, x, y, lambda_f, lambda_z, backward)
+
+
+def _stage1_loss(f: Stack, x, y, lambda_f: float, lambda_z: float, backward: bool):
+    logits = f.forward(x)
+    xent, d_xent = _softmax_xent(logits, y)
+    l1, d_l1 = _l1_mean(logits)
     loss = lambda_f * xent + lambda_z * l1
     if backward:
         f.backward(lambda_f * d_xent + lambda_z * d_l1)
@@ -282,13 +326,17 @@ def stage2_loss(
     Returns (loss, (recon, entropy, xent)). Gradients flow to the encoder,
     decoder, and classifier parameters only; z is treated as a constant.
     """
-    z = as_matrix(z, "z")
+    z, y = _batch(e, c, z, y_onehot)
+    return _stage2_loss(e, d, c, z, y, lambda_r, lambda_s_eff, lambda_c, backward)
+
+
+def _stage2_loss(e, d, c, z, y, lambda_r, lambda_s_eff, lambda_c, backward):
     s = e.forward(z)
     zhat = d.forward(s)
-    recon, _, d_zhat = l2_recon_mean(z, zhat)
-    ent, d_s_ent = entropy_sparsity(s)
+    recon, _, d_zhat = _l2_recon_mean(z, zhat)
+    ent, d_s_ent = _entropy_sparsity(s)
     logits = c.forward(s)
-    xent, d_logits = softmax_xent(logits, y_onehot)
+    xent, d_logits = _softmax_xent(logits, y)
     loss = lambda_r * recon + lambda_s_eff * ent + lambda_c * xent
     if backward:
         d_s = d.backward(lambda_r * d_zhat)
@@ -319,24 +367,21 @@ def train_stage1(
     """Minibatch Adam on the closed-set objective until the accuracy target or
     the epoch cap. Accuracy is aggregated from the training forward passes.
     Returns the per-epoch log; the classifier is trained in place."""
+    pixels, labels, y = _training_set(f, f, pixels, labels_dense, "stage 1")
     n = pixels.shape[0]
-    if n == 0:
-        raise DomainError("stage 1: empty training set")
-    class_count = f.layers[-1].w.shape[1]
-    y = one_hot(labels_dense, class_count)
     lam_z = effective_lambda_z(config)
     opt = Adam(f.params(), lr=config.lr)
+    opt.zero_grad()  # every step zeroes the gradient it consumes
     log: list[Stage1Record] = []
     for epoch in range(config.epochs_stage1):
         loss_sum = 0.0
         correct = 0
         for idx in _epoch_batches(n, config.batch_size, rng):
-            opt.zero_grad()
-            loss, logits = stage1_loss(f, pixels[idx], y[idx], config.lambda_f, lam_z, backward=True)
+            loss, logits = _stage1_loss(f, pixels[idx], y[idx], config.lambda_f, lam_z, True)
             if not np.isfinite(loss):
                 raise NumericError(f"stage 1 loss became non-finite at epoch {epoch}")
             loss_sum += loss * idx.size
-            correct += int((np.argmax(logits, axis=1) + 1 == labels_dense[idx]).sum())
+            correct += int((np.argmax(logits, axis=1) + 1 == labels[idx]).sum())
             opt.step()
         acc = correct / n
         log.append(Stage1Record(epoch=epoch, loss=loss_sum / n, accuracy=acc))
@@ -356,20 +401,17 @@ def train_stage2(
 ) -> list[Stage2Record]:
     """Joint Adam training of encoder, decoder, and classifier on frozen
     embeddings, with the entropy weight decayed once per epoch."""
+    z, _, y = _training_set(e, c, z, labels_dense, "stage 2")
     n = z.shape[0]
-    if n == 0:
-        raise DomainError("stage 2: empty training set")
-    class_count = c.layers[-1].w.shape[1]
-    y = one_hot(labels_dense, class_count)
     opt = Adam(e.params() + d.params() + c.params(), lr=config.lr)
+    opt.zero_grad()  # every step zeroes the gradient it consumes
     log: list[Stage2Record] = []
     for epoch in range(config.epochs_stage2):
         lam_s = sparsity_weight(config, epoch) if e.dirichlet else 0.0
         sums = np.zeros(4)
         for idx in _epoch_batches(n, config.batch_size, rng):
-            opt.zero_grad()
-            loss, parts = stage2_loss(
-                e, d, c, z[idx], y[idx], config.lambda_r, lam_s, config.lambda_c, backward=True
+            loss, parts = _stage2_loss(
+                e, d, c, z[idx], y[idx], config.lambda_r, lam_s, config.lambda_c, True
             )
             if not np.isfinite(loss):
                 raise NumericError(f"stage 2 loss became non-finite at epoch {epoch}")
@@ -384,7 +426,7 @@ def embed(f: Stack, x: np.ndarray, scale: float) -> np.ndarray:
     Forward only: F keeps no backward cache."""
     if scale <= 0.0:
         raise DomainError("embedding scale must be > 0")
-    return f.forward(as_matrix(x, "x"), keep=False) / scale
+    return f.forward(_as_input(x, f, "x"), keep=False) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +677,9 @@ def load_checkpoint(path) -> RdosrModel:
         raise TruncatedError(f"{path}: {len(raw) - offset} trailing bytes")
     if len(values) != len(header["arrays"]) or not {"norm.mean", "norm.std"} <= values.keys():
         raise FormatError(f"{path}: repeated array names or missing normalizer arrays")
+    norm_shape = (1, header["band_count"])
+    if values["norm.mean"].shape != norm_shape or values["norm.std"].shape != norm_shape:
+        raise FormatError(f"{path}: normalizer arrays must have shape {norm_shape}")
 
     known = tuple(int(c) for c in header["known_class_ids"])
     rng = np.random.default_rng(0)  # placeholder init, every block is overwritten

@@ -140,14 +140,19 @@ def sweep(
     """Hold out each class in turn, retrain both stages on the rest, and score
     the held-out pixels against the known test pixels.
 
-    Runs are independent; with jobs > 1 they execute in separate processes.
-    A failed run becomes a row with auc=None annotated with the class and
-    message; the average is over the successful rows.
+    Runs are independent; with jobs > 1 they execute in separate processes,
+    at most one per class. A failed run becomes a row with auc=None annotated
+    with the class and message; the average is over the successful rows.
     """
+    if jobs < 1:
+        raise DomainError(f"sweep: jobs must be >= 1, got {jobs}")
     if dataset.class_count < 2:
         raise DomainError("sweep needs at least 2 classes")
     classes = range(1, dataset.class_count + 1)
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else _InlineExecutor() as pool:
+    # a process pool may start all of its workers at the first submit, so it
+    # is sized by the work as well as by the request
+    workers = min(jobs, dataset.class_count)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else _InlineExecutor() as pool:
         futures = [pool.submit(_sweep_one, dataset, config, train_fraction, c) for c in classes]
         rows = tuple(_row(cls, fut) for cls, fut in zip(classes, futures))
     aucs = [r.auc for r in rows if r.auc is not None]

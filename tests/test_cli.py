@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -270,6 +271,12 @@ def _rename_norm_mean(h):
     h["arrays"][0][0] = "norm.avg"
 
 
+def _fold_norm_mean(h):
+    # the same number of values, as 2 rows of half the bands
+    entry = h["arrays"][0]
+    entry[1], entry[2] = 2, entry[2] // 2
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -279,9 +286,10 @@ def _rename_norm_mean(h):
         lambda h: h["arrays"].__setitem__(0, h["arrays"][0][:2]),
         lambda h: h["config"].update(lr="fast"),
         _rename_norm_mean,
+        _fold_norm_mean,
     ],
     ids=["extra-config-key", "no-band-count", "negative-dim", "not-a-triple", "lr-type",
-         "no-norm-mean"],
+         "no-norm-mean", "norm-mean-shape"],
 )
 def test_eval_malformed_checkpoint_header_exit_2(synth_dir, trained_dir, tmp_path, edit):
     raw = (trained_dir / "model.rdck").read_bytes()
@@ -335,6 +343,70 @@ def test_sweep_jobs_deterministic(synth_dir, config_file, tmp_path):
         assert rc == 0
         reports.append(path.read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_jobs_below_one_exit_2(synth_dir, config_file, tmp_path, capsys, jobs):
+    rc = cli.main(
+        ["sweep", "--cube", str(synth_dir / "cube.hsid"), "--labels",
+         str(synth_dir / "labels.hsil"), "--config", str(config_file),
+         "--report", str(tmp_path / "report.csv"), "--jobs", jobs]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "jobs" in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+# a worker that dies without raising: the pool breaks under the sweep
+DYING_WORKER = """
+import os
+
+from rdosr import openset
+
+_sweep_one = openset._sweep_one
+
+
+def sweep_one(dataset, config, train_fraction, unknown_class):
+    if unknown_class == 2:
+        os._exit(1)
+    return _sweep_one(dataset, config, train_fraction, unknown_class)
+"""
+
+
+def test_sweep_dead_worker_gives_annotated_rows_exit_4(tmp_path):
+    assert cli.main(
+        ["synth", "--out", str(tmp_path), "--classes", "2", "--bands", "8",
+         "--per-class", "30", "--seed", "1"]
+    ) == 0
+    (tmp_path / "dying.py").write_text(DYING_WORKER)
+    (tmp_path / "run.cfg").write_text("epochs_stage1=5\nepochs_stage2=5\nbatch_size=16\n")
+    report = tmp_path / "report.csv"
+    run = (
+        "import sys, dying\n"
+        "from rdosr import cli, openset\n"
+        "openset._sweep_one = dying.sweep_one\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), *sys.path])}
+    proc = subprocess.run(
+        [sys.executable, "-c", run, "sweep", "--cube", str(tmp_path / "cube.hsid"),
+         "--labels", str(tmp_path / "labels.hsil"), "--config", str(tmp_path / "run.cfg"),
+         "--report", str(report), "--jobs", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    rows = report.read_text().splitlines()[1:-1]
+    assert [r.split(",")[0] for r in rows] == ["1", "2"]
+    failed = [line for line in proc.stderr.splitlines() if line.startswith("failed: ")]
+    assert any(line.startswith("failed: class 2: ") for line in failed)
+    for row in rows:
+        cls, auc = row.split(",")
+        if auc == "failed":
+            assert any(line.startswith(f"failed: class {cls}: ") for line in failed)
+        else:
+            assert 0.0 <= float(auc) <= 1.0
 
 
 # ---------------------------------------------------------------------------

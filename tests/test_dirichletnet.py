@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from rdosr.diffcore import DomainError, ParamBlock, grad_check
 from rdosr.dirichletnet import (
+    BETA_FLOOR,
+    U_CLAMP,
     StickHead,
     entropy_sparsity,
     kuma_v,
@@ -12,7 +14,17 @@ from rdosr.dirichletnet import (
     stick_break,
     stick_break_backward,
 )
-from util import grads, pack, param_loss_fn, unpack
+from util import (
+    ReferenceStickHead,
+    bits,
+    entropy_sparsity_reference,
+    grads,
+    kuma_v_backward_reference,
+    pack,
+    param_loss_fn,
+    stick_break_backward_columns,
+    unpack,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -221,3 +233,82 @@ def test_stickhead_gradients_match_finite_differences():
 
     err = grad_check(param_loss_fn(params, compute), pack(params), step=1e-5)
     assert err < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the kernels equal their per-column / per-mask references bit for bit
+
+
+def test_kuma_v_backward_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(61)
+    u = rng.uniform(U_CLAMP, 1.0 - U_CLAMP, size=(300, 10))
+    u[0, :2] = U_CLAMP, 1.0 - U_CLAMP
+    beta = np.exp(rng.normal(0.0, 3.0, size=u.shape))
+    beta[1] = BETA_FLOOR  # v = u**1e6 underflows to 0
+    v = u ** (1.0 / beta)
+    d_v = rng.normal(size=u.shape) * 10.0 ** rng.integers(-8, 8, size=u.shape)
+    d_v[2, :3] = 0.0, -0.0, 1e300
+    got = kuma_v_backward(d_v, u, beta, v)
+    want = kuma_v_backward_reference(d_v, u, beta, v)
+    for g, w in zip(got, want):
+        assert np.array_equal(bits(g), bits(w))
+
+
+@pytest.mark.parametrize("c", [1, 2, 10])
+def test_stick_break_backward_matches_per_column_reference_bit_for_bit(c):
+    rng = np.random.default_rng(62 + c)
+    v = rng.uniform(0.0, 1.0, size=(257, c))
+    v[np.arange(40), rng.integers(0, c, size=40)] = 1.0  # saturated sticks
+    v[40:60, 0] = 1.0
+    v[60:80] = 0.0
+    v[80:100] = 1.0
+    d_s = rng.normal(size=v.shape)
+    d_s[100:110] = 0.0
+    d_s[110:120] = -0.0
+    assert np.array_equal(
+        bits(stick_break_backward(d_s, v)), bits(stick_break_backward_columns(d_s, v))
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["random", "zero-rows", "all-dead", "underflow", "one-live-entry"]
+)
+def test_entropy_sparsity_matches_reference_bit_for_bit(case):
+    rng = np.random.default_rng(63)
+    s = rng.normal(size=(64, 10))
+    s[rng.uniform(size=s.shape) < 0.2] = 0.0
+    if case == "zero-rows":
+        s[::3] = 0.0
+        s[1, :] = -0.0
+    elif case == "all-dead":
+        s[...] = 0.0
+    elif case == "underflow":
+        # s_hat underflows to 0 (inactive but signed) or to a subnormal
+        s[0] = [1e300, -1e-300] + [0.0] * 8
+        s[1] = [1.0, 1e-310] + [2.0] * 8
+        s[2] = [-1e308, 1e-320] + [0.0] * 8
+    elif case == "one-live-entry":
+        s[...] = 0.0
+        s[np.arange(64), rng.integers(0, 10, size=64)] = rng.normal(size=64)
+    value, d_s = entropy_sparsity(s)
+    ref_value, ref_d_s = entropy_sparsity_reference(s)
+    assert bits(value) == bits(ref_value)
+    assert np.array_equal(bits(d_s), bits(ref_d_s))
+
+
+def test_stickhead_matches_reference_head_bit_for_bit_with_clamps_active():
+    rng = np.random.default_rng(64)
+    head = StickHead.create(4, 10, rng)
+    ref = ReferenceStickHead(*(ParamBlock(p.value.copy()) for p in head.params()))
+    hidden = rng.normal(size=(300, 4)) * np.repeat([1.0, 30.0, 1000.0], 100)[:, None]
+    s = head.forward(hidden)
+    ref_s = ref.forward(hidden)
+    _, a_b, sig, _, beta_raw, _, _ = ref._cache
+    # every clamp is active somewhere, so its zeroed gradient is compared too
+    assert (sig < U_CLAMP).any() and (sig > 1.0 - U_CLAMP).any()
+    assert (beta_raw < BETA_FLOOR).any()
+    assert np.array_equal(bits(s), bits(ref_s))
+    d_s = rng.normal(size=s.shape)
+    assert np.array_equal(bits(head.backward(d_s)), bits(ref.backward(d_s)))
+    for p, q in zip(head.params(), ref.params()):
+        assert np.array_equal(bits(p.grad), bits(q.grad))

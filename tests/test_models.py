@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rdosr.data import Normalizer, synth_generate
-from rdosr.diffcore import DomainError, NumericError, grad_check
+from rdosr.diffcore import Adam, DomainError, NumericError, ShapeError, grad_check
 from rdosr.models import (
     F_HIDDEN,
     MODES,
@@ -31,6 +31,8 @@ from rdosr.models import (
 from util import (
     KINK_MARGIN,
     ReferenceAdam,
+    ReferenceStickHead,
+    entropy_sparsity_reference,
     encoder_margin,
     grads,
     pack,
@@ -343,6 +345,75 @@ def test_train_stage2_zero_epochs_is_identity():
     log = train_stage2(e, d, c, rng.normal(size=(9, 3)), rng.integers(1, 4, size=9), cfg, rng)
     assert log == []
     assert np.array_equal(pack(params), before)
+
+
+def _stage2_nets():
+    rng = np.random.default_rng(5)
+    e = EncoderE.create(3, rng, dirichlet=True)
+    return e, build_decoder_d(3, rng), build_classifier_c(3, rng), rng
+
+
+def test_train_stage2_validates_once_per_run(monkeypatch):
+    import rdosr.diffcore
+    import rdosr.dirichletnet
+    import rdosr.models
+
+    counts = []
+    for name in ("as_matrix", "_check_onehot"):
+        for module in (rdosr.diffcore, rdosr.dirichletnet, rdosr.models):
+            if hasattr(module, name):
+                def counted(*args, _fn=getattr(module, name), **kwargs):
+                    counts.append(_fn)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    calls = {}
+    for epochs in (1, 4):
+        e, d, c, rng = _stage2_nets()
+        z, labels = rng.normal(size=(40, 3)), rng.integers(1, 4, size=40)
+        counts.clear()
+        train_stage2(e, d, c, z, labels, TrainConfig(epochs_stage2=epochs, batch_size=8), rng)
+        calls[epochs] = len(counts)
+    # 5 steps per epoch: validation that ran per step would grow fourfold
+    assert calls[1] == calls[4]
+
+
+@pytest.mark.parametrize(
+    "case", ["z-width", "label-zero", "label-above-range", "label-count"]
+)
+def test_train_stage2_rejects_bad_inputs_before_the_first_step(monkeypatch, case):
+    steps = []
+    monkeypatch.setattr(Adam, "step", lambda self: steps.append(self))
+    e, d, c, rng = _stage2_nets()
+    z, labels = rng.normal(size=(12, 3)), rng.integers(1, 4, size=12)
+    if case == "z-width":
+        z = rng.normal(size=(12, 4))
+    elif case == "label-zero":
+        labels[5] = 0
+    elif case == "label-above-range":
+        labels[5] = 4
+    else:
+        labels = labels[:-1]
+    with pytest.raises((DomainError, ShapeError)):
+        train_stage2(e, d, c, z, labels, TrainConfig(epochs_stage2=2, batch_size=4), rng)
+    assert steps == []
+
+
+@pytest.mark.parametrize("mode", ["rdosr", "ae_cls", "ae_cls_dirichlet"])
+def test_stage2_checkpoint_matches_reference_head_and_entropy(tmp_path, monkeypatch, mode):
+    ds = small_dataset(classes=3, per_class=40)
+    cfg = quick_config(mode=mode, epochs_stage1=3, epochs_stage2=6, batch_size=32)
+    blobs = []
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr("rdosr.models.StickHead", ReferenceStickHead)
+            monkeypatch.setattr("rdosr.models._entropy_sparsity", entropy_sparsity_reference)
+        model, logs, _ = train_pipeline(ds, {3}, cfg, 0.5)
+        assert len(logs["stage2"]) == 6
+        path = tmp_path / f"model{len(blobs)}.rdck"
+        save_checkpoint(path, model)
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_stage2_never_modifies_classifier_f():

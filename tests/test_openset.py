@@ -194,6 +194,37 @@ def test_sweep_propagates_class_annotation_on_failure(monkeypatch):
     assert np.isclose(report.average_auc, 0.9)
 
 
+def test_sweep_pool_is_sized_by_class_count(monkeypatch):
+    import rdosr.openset as om
+
+    sizes = []
+
+    class RecordingPool(om._InlineExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+    monkeypatch.setattr(om, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(om, "_sweep_one", lambda dataset, config, fraction, cls: cls / 8)
+    ds = synth_generate(l_total=4, bands=8, per_class=5, seed=2)
+    for jobs in (1, 2, 4, 32):
+        report = om.sweep(ds, TrainConfig(), jobs=jobs)
+        assert [r.auc for r in report.rows] == [0.125, 0.25, 0.375, 0.5]
+    # jobs=1 runs inline; no pool gets more workers than there are classes
+    assert sizes == [2, 4, 4]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_jobs_below_one(monkeypatch, jobs):
+    import rdosr.openset as om
+
+    runs = []
+    monkeypatch.setattr(om, "_sweep_one", lambda *args: runs.append(args))
+    ds = synth_generate(l_total=4, bands=8, per_class=5, seed=2)
+    with pytest.raises(DomainError, match="jobs"):
+        om.sweep(ds, TrainConfig(), jobs=jobs)
+    assert runs == []
+
+
 def test_sweep_requires_two_classes():
     ds = synth_generate(l_total=4, bands=24, per_class=20, seed=2)
     single = type(ds)(

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from rdosr.diffcore import ActivationLayer, ParamBlock, Stack
+from rdosr.diffcore import ActivationLayer, ParamBlock, Stack, affine, affine_backward, softplus
+from rdosr.dirichletnet import BETA_FLOOR, U_CLAMP, StickHead, kuma_v, stick_break
 
 # must comfortably exceed the 1e-5 probe step times any activation magnitude
 KINK_MARGIN = 1e-3
@@ -113,6 +114,88 @@ def sigmoid_split(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def kuma_v_backward_reference(d_v, u, beta, v):
+    """Gradients of v = u**(1/beta), one expression each: the reference the
+    shipped form, which shares d_v*v, must match bit for bit."""
+    inv_b = 1.0 / beta
+    d_u = d_v * v * inv_b / u
+    d_beta = -d_v * v * np.log(u) * inv_b * inv_b
+    return d_u, d_beta
+
+
+def stick_break_backward_columns(d_s, v):
+    """Stick-breaking gradient walked one column at a time, recomputing the
+    leftover products: the reference for the row-recursion kernel."""
+    prev = np.ones_like(v)
+    if v.shape[1] > 1:
+        prev[:, 1:] = np.cumprod(1.0 - v[:, :-1], axis=1)
+    d_v = np.empty_like(v)
+    d_rem = np.zeros(v.shape[0])
+    for j in range(v.shape[1] - 1, -1, -1):
+        d_v[:, j] = (d_s[:, j] - d_rem) * prev[:, j]
+        d_rem = d_s[:, j] * v[:, j] + d_rem * (1.0 - v[:, j])
+    return d_v
+
+
+def entropy_sparsity_reference(s):
+    """Entropy sparsity with every mask applied separately: the reference
+    for the single-mask kernel."""
+    n = s.shape[0]
+    a = np.abs(s)
+    norms = a.sum(axis=1)
+    live = norms > 0.0
+    safe_n = np.where(live, norms, 1.0)
+    s_hat = a / safe_n[:, None]
+    active = s_hat > 0.0
+    logs = np.where(active, np.log(np.where(active, s_hat, 1.0)), 0.0)
+    h_rows = -(s_hat * logs).sum(axis=1)
+    h_rows[~live] = 0.0
+    value = float(h_rows.mean())
+    d_a = -(logs + h_rows[:, None]) / safe_n[:, None]
+    d_a[~active] = 0.0
+    d_a[~live] = 0.0
+    return value, d_a * np.sign(s) / n
+
+
+class ReferenceStickHead(StickHead):
+    """The stick head built from the checked public ops and the reference
+    kernels above, keeping only its inputs and outputs for backward: the
+    shipped head must match it bit for bit."""
+
+    def forward(self, hidden, keep=True):
+        a_u = affine(self.u_w.value, self.u_b.value, hidden)
+        sig = sigmoid_split(a_u)
+        u = np.clip(sig, U_CLAMP, 1.0 - U_CLAMP)
+        a_b = affine(self.beta_w.value, self.beta_b.value, hidden)
+        beta_raw = softplus(a_b)
+        beta = np.maximum(beta_raw, BETA_FLOOR)
+        v = kuma_v(u, beta)
+        s = stick_break(v)
+        self._cache = (hidden, a_b, sig, u, beta_raw, beta, v) if keep else None
+        return s
+
+    def backward(self, d_s):
+        hidden, a_b, sig, u, beta_raw, beta, v = self._cache
+        d_v = stick_break_backward_columns(d_s, v)
+        d_u, d_beta = kuma_v_backward_reference(d_v, u, beta, v)
+        d_u = np.where((sig > U_CLAMP) & (sig < 1.0 - U_CLAMP), d_u, 0.0)
+        d_beta = np.where(beta_raw >= BETA_FLOOR, d_beta, 0.0)
+        d_au = d_u * sig * (1.0 - sig)
+        d_ab = d_beta * sigmoid_split(a_b)
+        d_uw, d_ub, d_hidden_u = affine_backward(d_au, self.u_w.value, hidden)
+        d_bw, d_bb, d_hidden_b = affine_backward(d_ab, self.beta_w.value, hidden)
+        self.u_w.grad += d_uw
+        self.u_b.grad += d_ub
+        self.beta_w.grad += d_bw
+        self.beta_b.grad += d_bb
+        return d_hidden_u + d_hidden_b
+
+
+def bits(x) -> np.ndarray:
+    """The float64 bit patterns of `x`: equal bits, not merely equal values."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
 
 
 def auc_bruteforce(scores_known, scores_unknown) -> float:
