@@ -67,6 +67,7 @@ __all__ = [
     "train_stage1",
     "train_stage2",
     "embed",
+    "SCORE_BLOCK",
     "RdosrModel",
     "train_pipeline",
     "save_checkpoint",
@@ -241,7 +242,11 @@ def build_classifier_c(class_count: int, rng: np.random.Generator) -> Stack:
 
 
 def one_hot(labels_dense: np.ndarray, class_count: int) -> np.ndarray:
-    labels = np.asarray(labels_dense, dtype=np.int64)
+    raw = np.asarray(labels_dense)
+    with np.errstate(invalid="ignore"):  # NaN casts to an arbitrary integer
+        labels = raw.astype(np.int64)
+    if not np.array_equal(labels, raw):
+        raise DomainError("dense labels must be whole numbers")
     if labels.size and (labels.min() < 1 or labels.max() > class_count):
         raise DomainError(f"dense labels must lie in 1..{class_count}")
     out = np.zeros((labels.size, class_count))
@@ -421,12 +426,46 @@ def train_stage2(
     return log
 
 
+# ---------------------------------------------------------------------------
+# forward-only passes in fixed row blocks: peak memory is one block's
+# activations, whatever the number of rows
+
+SCORE_BLOCK = 1024
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most SCORE_BLOCK rows covering 0..n in
+    order. A 1-row remainder joins the block before it: BLAS runs a 1-row
+    product as a matrix-vector product, whose bits differ from a block's."""
+    starts = list(range(0, n, SCORE_BLOCK))
+    if n > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _by_blocks(x: np.ndarray, block, *outs: np.ndarray) -> tuple:
+    """Run `block` over the row blocks of `x`; its i-th result fills the
+    same rows of the i-th preallocated output. Returns the outputs."""
+    for rows in _row_blocks(x.shape[0]):
+        for out, part in zip(outs, block(x[rows])):
+            out[rows] = part
+    return outs
+
+
 def embed(f: Stack, x: np.ndarray, scale: float) -> np.ndarray:
     """Frozen embedding of normalized pixels: classifier logits / scale.
-    Forward only: F keeps no backward cache."""
+    Forward only, in row blocks: F keeps no backward cache."""
     if scale <= 0.0:
         raise DomainError("embedding scale must be > 0")
-    return f.forward(_as_input(x, f, "x"), keep=False) / scale
+    x = _as_input(x, f, "x")
+
+    def block(xb):
+        z = f.forward(xb, keep=False)
+        z /= scale
+        return (z,)
+
+    (out,) = _by_blocks(x, block, np.empty((x.shape[0], f.layers[-1].w.shape[1])))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -459,34 +498,49 @@ class RdosrModel:
         softmax baseline returns 1 - max class probability. With
         with_labels=True returns (scores, labels), the labels equal to
         `closed_predict(pixels)`; F runs at most once either way. Scoring is
-        forward only: no layer keeps a backward cache.
+        forward only, in row blocks: no layer keeps a backward cache.
         """
-        xn = self.normalizer.apply(as_matrix(pixels, "pixels"))
+        x = self._pixels(pixels)
+        if self.config.mode != "softmax" and (self.e is None or self.d is None):
+            raise DomainError("model has no trained reconstruction branch")
+        n = x.shape[0]
+        outs = (np.empty(n), np.empty(n, dtype=np.int64)) if with_labels else (np.empty(n),)
+        outs = _by_blocks(x, lambda xb: self._score_block(xb, with_labels), *outs)
+        return outs if with_labels else outs[0]
+
+    def _score_block(self, xb: np.ndarray, with_labels: bool) -> tuple:
+        xn = self.normalizer.apply(xb)
+        cfg = self.config
         logits = None
-        if self.config.mode == "softmax":
+        if cfg.mode == "softmax" or cfg.space == "embedding" or with_labels:
             logits = self.f.forward(xn, keep=False)
-            scores = 1.0 - softmax(logits).max(axis=1)
-        else:
-            if self.e is None or self.d is None:
-                raise DomainError("model has no trained reconstruction branch")
-            z = xn
-            if self.config.space == "embedding":
-                # the same bits as embed(); the labels need the unscaled logits
-                logits = self.f.forward(xn, keep=False)
-                z = logits / self.config.embedding_scale
-            zhat = self.d.forward(self.e.forward(z, keep=False), keep=False)
-            diff = z - zhat
-            scores = np.sqrt((diff * diff).sum(axis=1))
-        if not with_labels:
-            return scores
-        if logits is None:
-            logits = self.f.forward(xn, keep=False)
-        return scores, np.argmax(logits, axis=1) + 1
+        # labels first: the embedding below scales the logits in place
+        labels = (np.argmax(logits, axis=1) + 1,) if with_labels else ()
+        if cfg.mode == "softmax":
+            return (1.0 - softmax(logits).max(axis=1), *labels)
+        z = xn
+        if cfg.space == "embedding":
+            z = logits
+            z /= cfg.embedding_scale  # the same bits as embed()
+        diff = z - self.d.forward(self.e.forward(z, keep=False), keep=False)
+        return (np.sqrt((diff * diff).sum(axis=1)), *labels)
 
     def closed_predict(self, pixels: np.ndarray) -> np.ndarray:
         """Dense known-class labels 1..L (ties break to the lowest index)."""
-        xn = self.normalizer.apply(as_matrix(pixels, "pixels"))
-        return np.argmax(self.f.forward(xn, keep=False), axis=1) + 1
+        x = self._pixels(pixels)
+
+        def block(xb):
+            return (np.argmax(self.f.forward(self.normalizer.apply(xb), keep=False), axis=1) + 1,)
+
+        (labels,) = _by_blocks(x, block, np.empty(x.shape[0], dtype=np.int64))
+        return labels
+
+    def _pixels(self, pixels) -> np.ndarray:
+        """Raw pixels as a checked matrix; each block is normalized as it is
+        scored, and the empty slice checks the band count once."""
+        x = as_matrix(pixels, "pixels")
+        self.normalizer.apply(x[:0])
+        return x
 
     def named_params(self) -> list[tuple[str, ParamBlock]]:
         out = _stack_named("f", self.f)

@@ -7,7 +7,10 @@ pixel whose score clears the threshold.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -16,8 +19,6 @@ import numpy as np
 from .data import HsiDataset
 from .diffcore import DomainError, ShapeError, require_finite
 from .models import TrainConfig, train_pipeline
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 __all__ = [
     "openness",
@@ -85,7 +86,9 @@ def roc(scores_known, scores_unknown) -> RocCurve:
     cum_k = np.cumsum(~u_sorted)
     tpr = np.concatenate([[0.0], cum_u[ends] / u.size])
     fpr = np.concatenate([[0.0], cum_k[ends] / k.size])
-    return RocCurve(fpr=fpr, tpr=tpr, auc=float(_trapezoid(tpr, fpr)))
+    # the trapezoid rule, in the order np.trapezoid sums it
+    auc = float((np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0).sum())
+    return RocCurve(fpr=fpr, tpr=tpr, auc=auc)
 
 
 def histogram(scores, bins: int, lo: float, hi: float) -> np.ndarray:
@@ -152,7 +155,14 @@ def sweep(
     # a process pool may start all of its workers at the first submit, so it
     # is sized by the work as well as by the request
     workers = min(jobs, dataset.class_count)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else _InlineExecutor() as pool:
+    # workers that each kept the full BLAS pool would oversubscribe the CPUs,
+    # so each gets its share; a serial run keeps them all
+    pool = _InlineExecutor() if workers == 1 else ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_set_blas_threads,
+        initargs=(max(1, _usable_cpus() // workers),),
+    )
+    with pool:
         futures = [pool.submit(_sweep_one, dataset, config, train_fraction, c) for c in classes]
         rows = tuple(_row(cls, fut) for cls, fut in zip(classes, futures))
     aucs = [r.auc for r in rows if r.auc is not None]
@@ -163,6 +173,24 @@ def sweep(
         average_auc=average,
         openness=openness(l_total - 1, l_total, l_total - 1),
     )
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _set_blas_threads(n: int) -> None:
+    """Cap this process's OpenBLAS threads at n, through the setter that
+    NumPy's bundled OpenBLAS exports; without that library or symbol, do
+    nothing."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so*")):
+        setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(n)
 
 
 class _InlineExecutor(Executor):

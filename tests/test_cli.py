@@ -345,6 +345,24 @@ def test_sweep_jobs_deterministic(synth_dir, config_file, tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_checkpoint_bytes_do_not_depend_on_blas_threads(synth_dir, config_file, tmp_path):
+    # sweep workers train with a share of the BLAS threads of a serial run
+    checkpoints = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"run{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdosr", "train", "--cube", str(synth_dir / "cube.hsid"),
+             "--labels", str(synth_dir / "labels.hsil"), "--unknown", "4",
+             "--config", str(config_file), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        checkpoints.append((out / "model.rdck").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_sweep_jobs_below_one_exit_2(synth_dir, config_file, tmp_path, capsys, jobs):
     rc = cli.main(

@@ -8,11 +8,13 @@ from rdosr.diffcore import Adam, DomainError, NumericError, ShapeError, grad_che
 from rdosr.models import (
     F_HIDDEN,
     MODES,
+    SCORE_BLOCK,
     SPACES,
     EncoderE,
     RdosrModel,
     TrainConfig,
     _build_networks,
+    _row_blocks,
     build_classifier_c,
     build_classifier_f,
     build_decoder_d,
@@ -40,6 +42,9 @@ from util import (
     randomize,
     stack_relu_margin,
     unpack,
+    whole_batch_closed_predict,
+    whole_batch_embed,
+    whole_batch_open_score,
 )
 
 
@@ -131,6 +136,22 @@ def test_one_hot():
     assert np.array_equal(y, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     with pytest.raises(DomainError):
         one_hot(np.array([0]), 3)
+    # labels that are not whole numbers are rejected, never truncated
+    for labels in ([1.5, 2.9], [1.0, np.nan], [2.0, 1e30]):
+        with pytest.raises(DomainError):
+            one_hot(np.array(labels), 3)
+    assert np.array_equal(one_hot(np.array([1.0, 3.0, 2.0]), 3), y)
+
+
+def test_train_stage1_rejects_fractional_labels_before_a_step(monkeypatch):
+    steps = []
+    monkeypatch.setattr(Adam, "step", lambda self: steps.append(self))
+    rng = np.random.default_rng(8)
+    f = build_classifier_f(4, 3, rng, hidden=(5,))
+    with pytest.raises(DomainError):
+        train_stage1(f, rng.normal(size=(6, 4)), np.array([1.0, 2.0, 3.0, 1.5, 2.0, 2.9]),
+                     quick_config(epochs_stage1=2), rng)
+    assert steps == []
 
 
 # ---------------------------------------------------------------------------
@@ -547,25 +568,104 @@ def test_scoring_keeps_no_backward_cache():
     assert all(c is None for c in _caches(f, e, d))
 
 
-def test_open_score_peak_memory_stays_below_three_widest_activations():
-    # F's widest activation for 4000 rows is 4000 x 1024 float64 (32.8 MB);
-    # keeping every layer's input for a backward pass would hold about 4x that
-    bands, n_known, rows = 64, 5, 4000
-    rng = np.random.default_rng(0)
-    config = TrainConfig()
-    model = RdosrModel(
-        config, bands, tuple(range(1, n_known + 1)), (n_known + 1,), 0.5,
-        Normalizer(mean=np.zeros(bands), std=np.ones(bands)),
+def _untrained_model(mode="rdosr", space="embedding", bands=64, n_known=5, seed=0):
+    config = TrainConfig(mode=mode, space=space)
+    rng = np.random.default_rng(seed)
+    normalizer = Normalizer(mean=rng.normal(size=bands), std=rng.uniform(0.5, 2.0, size=bands))
+    return RdosrModel(
+        config, bands, tuple(range(1, n_known + 1)), (n_known + 1,), 0.5, normalizer,
         *_build_networks(config, bands, n_known, rng),
     )
-    pixels = rng.normal(size=(rows, bands))
+
+
+_BLOCK_SIZES = (1, 2, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 2 * SCORE_BLOCK + 1,
+                3 * SCORE_BLOCK + 1)
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("mode", MODES)
+def test_block_scoring_bit_equal_to_one_whole_batch(mode, space):
+    model = _untrained_model(mode, space)
+    pixels = np.random.default_rng(1).normal(size=(max(_BLOCK_SIZES), model.band_count))
+    for n in _BLOCK_SIZES:
+        x = pixels[:n]
+        ref_scores, ref_labels = whole_batch_open_score(model, x, with_labels=True)
+        scores, labels = model.open_score(x, with_labels=True)
+        assert np.array_equal(scores, ref_scores) and np.array_equal(labels, ref_labels), n
+        assert np.array_equal(model.open_score(x), whole_batch_open_score(model, x)), n
+        assert np.array_equal(model.closed_predict(x), whole_batch_closed_predict(model, x)), n
+
+
+def test_block_embedding_bit_equal_to_one_whole_batch():
+    f = _untrained_model().f
+    x = np.random.default_rng(2).normal(size=(max(_BLOCK_SIZES), 64))
+    for n in _BLOCK_SIZES:
+        assert np.array_equal(embed(f, x[:n], 10.0), whole_batch_embed(f, x[:n], 10.0)), n
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, SCORE_BLOCK + 2,
+          2 * SCORE_BLOCK + 1, 5 * SCORE_BLOCK]
+)
+def test_row_blocks_cover_rows_in_order_without_a_one_row_block(n):
+    blocks = _row_blocks(n)
+    assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+    assert all(b.stop - b.start <= SCORE_BLOCK + 1 for b in blocks)
+    if n > 1:
+        assert all(b.stop - b.start > 1 for b in blocks)
+
+
+def test_scoring_no_rows_gives_empty_outputs_of_the_whole_batch_types():
+    model = _untrained_model()
+    x = np.zeros((0, model.band_count))
+    scores, labels = model.open_score(x, with_labels=True)
+    z = embed(model.f, x, 10.0)
+    for got, ref in [
+        (scores, whole_batch_open_score(model, x)),
+        (labels, whole_batch_closed_predict(model, x)),
+        (model.closed_predict(x), whole_batch_closed_predict(model, x)),
+        (z, whole_batch_embed(model.f, x, 10.0)),
+    ]:
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert scores.dtype == np.float64 and labels.dtype == np.int64
+    assert z.shape == (0, model.n_known)
+    with pytest.raises(ShapeError):
+        model.open_score(np.zeros((0, model.band_count + 1)))
+
+
+def _traced_peak(run) -> int:
     tracemalloc.start()
     try:
-        model.open_score(pixels)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * rows * max(F_HIDDEN) * 8
+
+
+# F's widest activation for one block is SCORE_BLOCK x 1024 float64 (8.4 MB);
+# keeping every layer's input for a backward pass, or running F over every
+# row at once, would exceed three of them
+_PEAK_BOUND = 3 * SCORE_BLOCK * max(F_HIDDEN) * 8
+
+
+def test_open_score_peak_memory_stays_below_three_widest_activations():
+    model = _untrained_model()
+    for rows in (4000, 16000):
+        pixels = np.random.default_rng(0).normal(size=(rows, model.band_count))
+        assert _traced_peak(lambda: model.open_score(pixels)) < _PEAK_BOUND, rows
+
+
+@pytest.mark.parametrize("scorer", ["closed_predict", "embed"])
+def test_closed_predict_and_embed_peak_memory_stay_below_three_widest_activations(scorer):
+    model = _untrained_model()
+    for rows in (4000, 16000):
+        pixels = np.random.default_rng(0).normal(size=(rows, model.band_count))
+        run = {
+            "closed_predict": lambda: model.closed_predict(pixels),
+            "embed": lambda: embed(model.f, pixels, 10.0),
+        }[scorer]
+        assert _traced_peak(run) < _PEAK_BOUND, rows
+
 
 def test_normalizer_fitted_on_known_training_pixels_only():
     ds = small_dataset()

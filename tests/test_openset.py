@@ -89,6 +89,17 @@ def test_roc_matches_bruteforce_with_ties():
         assert abs(curve.auc - auc_bruteforce(k, u)) < 1e-12
 
 
+@pytest.mark.skipif(not hasattr(np, "trapezoid"), reason="np.trapezoid needs NumPy 2.0")
+def test_roc_auc_bit_equal_to_numpy_trapezoid_with_ties():
+    rng = np.random.default_rng(4)
+    for trial in range(50):
+        k = np.round(rng.random(rng.integers(1, 300)), 1)
+        u = np.round(rng.random(rng.integers(1, 300)) + 0.1, 1)
+        curve = roc(k, u)
+        expected = np.float64(np.trapezoid(curve.tpr, curve.fpr))
+        assert np.float64(curve.auc).view(np.int64) == expected.view(np.int64)
+
+
 def test_roc_empty_inputs():
     with pytest.raises(ShapeError):
         roc([], [0.5])
@@ -198,12 +209,16 @@ def test_sweep_pool_is_sized_by_class_count(monkeypatch):
     import rdosr.openset as om
 
     sizes = []
+    budgets = []
 
     class RecordingPool(om._InlineExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            assert initializer is om._set_blas_threads
+            budgets.append(initargs)
 
     monkeypatch.setattr(om, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(om, "_usable_cpus", lambda: 6)
     monkeypatch.setattr(om, "_sweep_one", lambda dataset, config, fraction, cls: cls / 8)
     ds = synth_generate(l_total=4, bands=8, per_class=5, seed=2)
     for jobs in (1, 2, 4, 32):
@@ -211,6 +226,30 @@ def test_sweep_pool_is_sized_by_class_count(monkeypatch):
         assert [r.auc for r in report.rows] == [0.125, 0.25, 0.375, 0.5]
     # jobs=1 runs inline; no pool gets more workers than there are classes
     assert sizes == [2, 4, 4]
+    # each worker gets its share of the CPUs for BLAS, at least one thread
+    assert budgets == [(3,), (1,), (1,)]
+
+
+def test_set_blas_threads_sets_the_bundled_openblas_count():
+    import ctypes
+    import glob
+    import os
+
+    import rdosr.openset as om
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))
+    lib = ctypes.CDLL(paths[0]) if paths else None
+    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("NumPy here does not bundle scipy-openblas")
+    get = lib.scipy_openblas_get_num_threads64_
+    before = get()
+    try:
+        om._set_blas_threads(1)
+        assert get() == 1
+    finally:
+        om._set_blas_threads(before)
+    assert get() == before
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

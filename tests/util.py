@@ -11,7 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from rdosr.diffcore import ActivationLayer, ParamBlock, Stack, affine, affine_backward, softplus
+from rdosr.diffcore import (
+    ActivationLayer,
+    ParamBlock,
+    Stack,
+    affine,
+    affine_backward,
+    as_matrix,
+    softmax,
+    softplus,
+)
 from rdosr.dirichletnet import BETA_FLOOR, U_CLAMP, StickHead, kuma_v, stick_break
 
 # must comfortably exceed the 1e-5 probe step times any activation magnitude
@@ -205,3 +214,35 @@ def auc_bruteforce(scores_known, scores_unknown) -> float:
     gt = (u[:, None] > k[None, :]).sum()
     eq = (u[:, None] == k[None, :]).sum()
     return (gt + 0.5 * eq) / (u.size * k.size)
+
+
+def whole_batch_open_score(model, pixels, with_labels=False):
+    """`open_score` as one forward pass over every row at once: the
+    reference the row-block scoring must match bit for bit."""
+    xn = model.normalizer.apply(as_matrix(pixels, "pixels"))
+    logits = None
+    if model.config.mode == "softmax":
+        logits = model.f.forward(xn, keep=False)
+        scores = 1.0 - softmax(logits).max(axis=1)
+    else:
+        z = xn
+        if model.config.space == "embedding":
+            logits = model.f.forward(xn, keep=False)
+            z = logits / model.config.embedding_scale
+        zhat = model.d.forward(model.e.forward(z, keep=False), keep=False)
+        diff = z - zhat
+        scores = np.sqrt((diff * diff).sum(axis=1))
+    if not with_labels:
+        return scores
+    if logits is None:
+        logits = model.f.forward(xn, keep=False)
+    return scores, np.argmax(logits, axis=1) + 1
+
+
+def whole_batch_closed_predict(model, pixels):
+    xn = model.normalizer.apply(as_matrix(pixels, "pixels"))
+    return np.argmax(model.f.forward(xn, keep=False), axis=1) + 1
+
+
+def whole_batch_embed(f, x, scale):
+    return f.forward(as_matrix(x, "x"), keep=False) / scale
