@@ -378,6 +378,9 @@ class AffineLayer:
     def params(self) -> list[ParamBlock]:
         return [self.w, self.b]
 
+    def named_params(self, prefix: str) -> list[tuple[str, ParamBlock]]:
+        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
+
 
 class ActivationLayer:
     def __init__(self, kind: str) -> None:
@@ -421,6 +424,11 @@ class Stack:
         for layer in self.layers:
             out.extend(layer.params())
         return out
+
+    def named_params(self, prefix: str) -> list[tuple[str, ParamBlock]]:
+        # `prefix.i.*` for the i-th layer that holds parameters
+        held = [layer for layer in self.layers if layer.params()]
+        return [p for i, layer in enumerate(held) for p in layer.named_params(f"{prefix}.{i}")]
 
 
 # ---------------------------------------------------------------------------

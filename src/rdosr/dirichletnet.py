@@ -210,3 +210,7 @@ class StickHead:
 
     def params(self) -> list[ParamBlock]:
         return [self.u_w, self.u_b, self.beta_w, self.beta_b]
+
+    def named_params(self, prefix: str) -> list[tuple[str, ParamBlock]]:
+        return [(f"{prefix}.u.w", self.u_w), (f"{prefix}.u.b", self.u_b),
+                (f"{prefix}.beta.w", self.beta_w), (f"{prefix}.beta.b", self.beta_b)]

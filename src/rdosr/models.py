@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .data import (
     TruncatedError,
     HsiDataset,
     Normalizer,
-    SplitResult,
     SplitSpec,
     split,
 )
@@ -55,8 +54,8 @@ __all__ = [
     "TrainConfig",
     "Stage1Record",
     "Stage2Record",
-    "EncoderE",
     "build_classifier_f",
+    "build_encoder_e",
     "build_decoder_d",
     "build_classifier_c",
     "one_hot",
@@ -161,84 +160,43 @@ class Stage2Record:
 # network builders
 
 
-def build_classifier_f(
-    band_count: int,
-    class_count: int,
-    rng: np.random.Generator,
-    hidden=F_HIDDEN,
-) -> Stack:
-    """Embedding classifier: relu stack ending in linear logits of width L."""
+def _relu_stack(width: int, hidden, rng: np.random.Generator, out_width=None) -> Stack:
+    """Affine+relu layers of the given widths, then a linear map to
+    `out_width` if one is given. Layers draw their weights in order."""
     layers = []
-    width = band_count
     for h in hidden:
-        layers.append(AffineLayer.create(width, h, rng, bias=RELU_BIAS))
-        layers.append(ActivationLayer("relu"))
+        layers += [AffineLayer.create(width, h, rng, bias=RELU_BIAS), ActivationLayer("relu")]
         width = h
-    layers.append(AffineLayer.create(width, class_count, rng))
+    if out_width is not None:
+        layers.append(AffineLayer.create(width, out_width, rng))
     return Stack(layers)
 
 
-class EncoderE:
-    """Small relu trunk feeding either a stick-breaking head (Dirichlet
-    modes) or a plain affine+relu representation layer of the same width."""
+def build_classifier_f(band_count: int, class_count: int, rng: np.random.Generator,
+                       hidden=F_HIDDEN) -> Stack:
+    """Embedding classifier: relu stack ending in linear logits of width L."""
+    return _relu_stack(band_count, hidden, rng, class_count)
 
-    def __init__(self, trunk: Stack, head, dirichlet: bool) -> None:
-        self.trunk = trunk
-        self.head = head
-        self.dirichlet = dirichlet
 
-    @classmethod
-    def create(
-        cls,
-        in_width: int,
-        rng: np.random.Generator,
-        dirichlet: bool,
-        hidden=E_HIDDEN,
-        repr_width: int = REPR_WIDTH,
-    ) -> "EncoderE":
-        layers = []
-        width = in_width
-        for h in hidden:
-            layers.append(AffineLayer.create(width, h, rng, bias=RELU_BIAS))
-            layers.append(ActivationLayer("relu"))
-            width = h
-        trunk = Stack(layers)
-        if dirichlet:
-            head = StickHead.create(width, repr_width, rng)
-        else:
-            head = Stack(
-                [
-                    AffineLayer.create(width, repr_width, rng, bias=RELU_BIAS),
-                    ActivationLayer("relu"),
-                ]
-            )
-        return cls(trunk, head, dirichlet)
-
-    def forward(self, z: np.ndarray, keep: bool = True) -> np.ndarray:
-        return self.head.forward(self.trunk.forward(z, keep=keep), keep=keep)
-
-    def backward(self, d_s: np.ndarray) -> np.ndarray:
-        return self.trunk.backward(self.head.backward(d_s))
-
-    def params(self) -> list[ParamBlock]:
-        return self.trunk.params() + self.head.params()
+def build_encoder_e(in_width: int, rng: np.random.Generator, dirichlet: bool) -> Stack:
+    """Encoder `Stack([trunk, head])`: a small relu trunk feeding either a
+    stick-breaking head (Dirichlet modes) or a plain affine+relu
+    representation layer of the same width."""
+    trunk = _relu_stack(in_width, E_HIDDEN, rng)
+    if dirichlet:
+        return Stack([trunk, StickHead.create(E_HIDDEN[-1], REPR_WIDTH, rng)])
+    return Stack([trunk, _relu_stack(E_HIDDEN[-1], (REPR_WIDTH,), rng)])
 
 
 def build_decoder_d(out_width: int, rng: np.random.Generator) -> Stack:
     """Decoder: relu layer then a linear map whose weights are the shared
     bases the representations mix."""
-    return Stack(
-        [
-            AffineLayer.create(REPR_WIDTH, D_HIDDEN, rng, bias=RELU_BIAS),
-            ActivationLayer("relu"),
-            AffineLayer.create(D_HIDDEN, out_width, rng),
-        ]
-    )
+    return _relu_stack(REPR_WIDTH, (D_HIDDEN,), rng, out_width)
 
 
 def build_classifier_c(class_count: int, rng: np.random.Generator) -> Stack:
     """Single affine map from the representation to known-class logits."""
-    return Stack([AffineLayer.create(REPR_WIDTH, class_count, rng)])
+    return _relu_stack(REPR_WIDTH, (), rng, class_count)
 
 
 def one_hot(labels_dense: np.ndarray, class_count: int) -> np.ndarray:
@@ -315,7 +273,7 @@ def _stage1_loss(f: Stack, x, y, lambda_f: float, lambda_z: float, backward: boo
 
 
 def stage2_loss(
-    e: EncoderE,
+    e: Stack,
     d: Stack,
     c: Stack,
     z,
@@ -356,10 +314,22 @@ def _stage2_loss(e, d, c, z, y, lambda_r, lambda_s_eff, lambda_c, backward):
 # training loops
 
 
-def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start : start + batch_size]
+def _train_epochs(params, n: int, epochs: int, config: TrainConfig, rng, step, stage: str):
+    """Adam over shuffled minibatches of n rows. `step(rows, epoch)` trains on
+    a batch and returns (mean loss, row totals); yields (epoch, totals / n)."""
+    opt = Adam(params, lr=config.lr)
+    opt.zero_grad()  # every step zeroes the gradient it consumes
+    for epoch in range(epochs):
+        sums = 0.0
+        perm = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            rows = perm[start : start + config.batch_size]
+            loss, totals = step(rows, epoch)
+            if not np.isfinite(loss):
+                raise NumericError(f"{stage} loss became non-finite at epoch {epoch}")
+            sums = sums + totals
+            opt.step()
+        yield epoch, sums / n
 
 
 def train_stage1(
@@ -373,30 +343,25 @@ def train_stage1(
     the epoch cap. Accuracy is aggregated from the training forward passes.
     Returns the per-epoch log; the classifier is trained in place."""
     pixels, labels, y = _training_set(f, f, pixels, labels_dense, "stage 1")
-    n = pixels.shape[0]
     lam_z = effective_lambda_z(config)
-    opt = Adam(f.params(), lr=config.lr)
-    opt.zero_grad()  # every step zeroes the gradient it consumes
+
+    def step(rows, epoch):
+        loss, logits = _stage1_loss(f, pixels[rows], y[rows], config.lambda_f, lam_z, True)
+        hits = (np.argmax(logits, axis=1) + 1 == labels[rows]).sum()
+        # a hit count, not a batch accuracy: size * (hits / size) can miss hits by an ulp
+        return loss, np.array([rows.size * loss, hits])
+
     log: list[Stage1Record] = []
-    for epoch in range(config.epochs_stage1):
-        loss_sum = 0.0
-        correct = 0
-        for idx in _epoch_batches(n, config.batch_size, rng):
-            loss, logits = _stage1_loss(f, pixels[idx], y[idx], config.lambda_f, lam_z, True)
-            if not np.isfinite(loss):
-                raise NumericError(f"stage 1 loss became non-finite at epoch {epoch}")
-            loss_sum += loss * idx.size
-            correct += int((np.argmax(logits, axis=1) + 1 == labels[idx]).sum())
-            opt.step()
-        acc = correct / n
-        log.append(Stage1Record(epoch=epoch, loss=loss_sum / n, accuracy=acc))
+    epochs = _train_epochs(f.params(), len(y), config.epochs_stage1, config, rng, step, "stage 1")
+    for epoch, (loss, acc) in epochs:
+        log.append(Stage1Record(epoch, float(loss), float(acc)))
         if acc >= config.stage1_target_accuracy:
             break
     return log
 
 
 def train_stage2(
-    e: EncoderE,
+    e: Stack,
     d: Stack,
     c: Stack,
     z: np.ndarray,
@@ -407,23 +372,18 @@ def train_stage2(
     """Joint Adam training of encoder, decoder, and classifier on frozen
     embeddings, with the entropy weight decayed once per epoch."""
     z, _, y = _training_set(e, c, z, labels_dense, "stage 2")
-    n = z.shape[0]
-    opt = Adam(e.params() + d.params() + c.params(), lr=config.lr)
-    opt.zero_grad()  # every step zeroes the gradient it consumes
-    log: list[Stage2Record] = []
-    for epoch in range(config.epochs_stage2):
-        lam_s = sparsity_weight(config, epoch) if e.dirichlet else 0.0
-        sums = np.zeros(4)
-        for idx in _epoch_batches(n, config.batch_size, rng):
-            loss, parts = _stage2_loss(
-                e, d, c, z[idx], y[idx], config.lambda_r, lam_s, config.lambda_c, True
-            )
-            if not np.isfinite(loss):
-                raise NumericError(f"stage 2 loss became non-finite at epoch {epoch}")
-            sums += idx.size * np.array([loss, *parts])
-            opt.step()
-        log.append(Stage2Record(epoch, *(sums / n)))
-    return log
+    dirichlet = isinstance(e.layers[-1], StickHead)
+
+    def step(rows, epoch):
+        lam_s = sparsity_weight(config, epoch) if dirichlet else 0.0
+        loss, parts = _stage2_loss(
+            e, d, c, z[rows], y[rows], config.lambda_r, lam_s, config.lambda_c, True
+        )
+        return loss, rows.size * np.array([loss, *parts])
+
+    params = e.params() + d.params() + c.params()
+    epochs = _train_epochs(params, len(y), config.epochs_stage2, config, rng, step, "stage 2")
+    return [Stage2Record(epoch, *map(float, means)) for epoch, means in epochs]
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +443,7 @@ class RdosrModel:
     train_fraction: float
     normalizer: Normalizer
     f: Stack
-    e: EncoderE | None
+    e: Stack | None
     d: Stack | None
     c: Stack | None
 
@@ -543,35 +503,9 @@ class RdosrModel:
         return x
 
     def named_params(self) -> list[tuple[str, ParamBlock]]:
-        out = _stack_named("f", self.f)
-        if self.e is not None:
-            out += _stack_named("e.trunk", self.e.trunk)
-            if self.e.dirichlet:
-                head = self.e.head
-                out += [
-                    ("e.head.u.w", head.u_w),
-                    ("e.head.u.b", head.u_b),
-                    ("e.head.beta.w", head.beta_w),
-                    ("e.head.beta.b", head.beta_b),
-                ]
-            else:
-                out += _stack_named("e.head", self.e.head)
-        if self.d is not None:
-            out += _stack_named("d", self.d)
-        if self.c is not None:
-            out += _stack_named("c", self.c)
-        return out
-
-
-def _stack_named(prefix: str, stack: Stack) -> list[tuple[str, ParamBlock]]:
-    out = []
-    i = 0
-    for layer in stack.layers:
-        if isinstance(layer, AffineLayer):
-            out.append((f"{prefix}.{i}.w", layer.w))
-            out.append((f"{prefix}.{i}.b", layer.b))
-            i += 1
-    return out
+        trunk, head = self.e.layers if self.e is not None else (None, None)
+        nets = [("f", self.f), ("e.trunk", trunk), ("e.head", head), ("d", self.d), ("c", self.c)]
+        return [pair for name, net in nets if net is not None for pair in net.named_params(name)]
 
 
 def _build_networks(config: TrainConfig, band_count: int, n_known: int, rng: np.random.Generator):
@@ -579,7 +513,7 @@ def _build_networks(config: TrainConfig, band_count: int, n_known: int, rng: np.
     if config.mode == "softmax":
         return f, None, None, None
     e_width = band_count if config.space == "image" else n_known
-    e = EncoderE.create(e_width, rng, dirichlet=config.mode in ("rdosr", "ae_cls_dirichlet"))
+    e = build_encoder_e(e_width, rng, dirichlet=config.mode in ("rdosr", "ae_cls_dirichlet"))
     d = build_decoder_d(e_width, rng)
     c = build_classifier_c(n_known, rng)
     return f, e, d, c
@@ -726,6 +660,8 @@ def load_checkpoint(path) -> RdosrModel:
             .reshape(rows, cols)
             .astype(np.float64)
         )
+        if not np.isfinite(values[name]).all():
+            raise FormatError(f"{path}: array {name} holds a non-finite value")
         offset += nbytes
     if offset != len(raw):
         raise TruncatedError(f"{path}: {len(raw) - offset} trailing bytes")
@@ -734,6 +670,8 @@ def load_checkpoint(path) -> RdosrModel:
     norm_shape = (1, header["band_count"])
     if values["norm.mean"].shape != norm_shape or values["norm.std"].shape != norm_shape:
         raise FormatError(f"{path}: normalizer arrays must have shape {norm_shape}")
+    if not (values["norm.std"] > 0.0).all():
+        raise FormatError(f"{path}: norm.std must be positive")
 
     known = tuple(int(c) for c in header["known_class_ids"])
     rng = np.random.default_rng(0)  # placeholder init, every block is overwritten

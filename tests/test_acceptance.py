@@ -25,11 +25,11 @@ from rdosr.diffcore import (
 )
 from rdosr.dirichletnet import StickHead, entropy_sparsity, kuma_v, kuma_v_backward, stick_break, stick_break_backward
 from rdosr.models import (
-    EncoderE,
     TrainConfig,
     build_classifier_c,
     build_classifier_f,
     build_decoder_d,
+    build_encoder_e,
     one_hot,
     stage1_loss,
     stage2_loss,
@@ -247,7 +247,7 @@ def _stage1_instance(seed):
 def _stage2_instance(seed):
     rng = np.random.default_rng(seed)
     l_known = 5
-    e = EncoderE.create(l_known, rng, dirichlet=True)
+    e = build_encoder_e(l_known, rng, dirichlet=True)
     d = build_decoder_d(l_known, rng)
     c = build_classifier_c(l_known, rng)
     params = e.params() + d.params() + c.params()

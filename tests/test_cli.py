@@ -114,6 +114,18 @@ def test_train_outputs_checkpoint_and_manifest(trained_dir):
     assert model.n_known == 3
 
 
+def test_train_manifest_numbers_are_plain_literals(trained_dir):
+    manifest = (trained_dir / "manifest.txt").read_text()
+    entries = dict(line.split("=", 1) for line in manifest.strip().split("\n"))
+    finals = [k for k in entries if k.startswith("stage") and "_final_" in k]
+    runs = [k for k in entries if k.endswith("_epochs_run")]
+    assert len(finals) == 4 and len(runs) == 2
+    for key in finals:
+        float(entries[key])
+    for key in runs:
+        int(entries[key])
+
+
 def test_train_missing_inputs_exit_2(tmp_path, capsys):
     rc = cli.main(["train", "--out", str(tmp_path)])
     assert rc == 2
@@ -257,49 +269,66 @@ def test_eval_missing_model_exit_2(synth_dir, tmp_path, capsys):
     assert rc == 2
 
 
-def _drop_band_count(h):
+def _drop_band_count(h, values):
     del h["band_count"]
 
 
-def _negate_dims(h):
+def _negate_dims(h, values):
     # the byte count 8 * rows * cols stays what the file holds
     entry = h["arrays"][0]
     entry[1], entry[2] = -entry[1], -entry[2]
 
 
-def _rename_norm_mean(h):
+def _rename_norm_mean(h, values):
     h["arrays"][0][0] = "norm.avg"
 
 
-def _fold_norm_mean(h):
+def _fold_norm_mean(h, values):
     # the same number of values, as 2 rows of half the bands
     entry = h["arrays"][0]
     entry[1], entry[2] = 2, entry[2] // 2
 
 
+def _set_value(name, value):
+    def edit(h, values):
+        values[name][0] = value
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda h: h["config"].update(extra=1),
+        lambda h, values: h["config"].update(extra=1),
         _drop_band_count,
         _negate_dims,
-        lambda h: h["arrays"].__setitem__(0, h["arrays"][0][:2]),
-        lambda h: h["config"].update(lr="fast"),
+        lambda h, values: h["arrays"].__setitem__(0, h["arrays"][0][:2]),
+        lambda h, values: h["config"].update(lr="fast"),
         _rename_norm_mean,
         _fold_norm_mean,
+        _set_value("f.0.w", np.nan),
+        _set_value("d.1.b", np.inf),
+        _set_value("norm.std", 0.0),
+        _set_value("norm.mean", np.nan),
     ],
     ids=["extra-config-key", "no-band-count", "negative-dim", "not-a-triple", "lr-type",
-         "no-norm-mean", "norm-mean-shape"],
+         "no-norm-mean", "norm-mean-shape", "nan-weight", "inf-bias", "zero-std", "nan-mean"],
 )
 def test_eval_malformed_checkpoint_header_exit_2(synth_dir, trained_dir, tmp_path, edit):
     raw = (trained_dir / "model.rdck").read_bytes()
     magic, version, blob_len = _CKPT_HEADER.unpack_from(raw)
     start = _CKPT_HEADER.size
     header = json.loads(raw[start : start + blob_len])
-    edit(header)
+    # writable views of each stored array, in file order
+    payload = np.frombuffer(raw, dtype="<f8", offset=start + blob_len).copy()
+    values, offset = {}, 0
+    for name, rows, cols in header["arrays"]:
+        values[name] = payload[offset : offset + rows * cols]
+        offset += rows * cols
+    edit(header, values)
     blob = json.dumps(header, sort_keys=True).encode()
     bad = tmp_path / "bad.rdck"
-    bad.write_bytes(_CKPT_HEADER.pack(magic, version, len(blob)) + blob + raw[start + blob_len :])
+    bad.write_bytes(_CKPT_HEADER.pack(magic, version, len(blob)) + blob + payload.tobytes())
     proc = subprocess.run(
         [sys.executable, "-m", "rdosr", "eval", "--model", str(bad),
          "--cube", str(synth_dir / "cube.hsid"), "--labels", str(synth_dir / "labels.hsil")],

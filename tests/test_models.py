@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from rdosr.data import Normalizer, synth_generate
-from rdosr.diffcore import Adam, DomainError, NumericError, ShapeError, grad_check
+from rdosr.diffcore import Adam, DomainError, NumericError, ShapeError, Stack, grad_check
+from rdosr.dirichletnet import StickHead
 from rdosr.models import (
     F_HIDDEN,
     MODES,
     SCORE_BLOCK,
     SPACES,
-    EncoderE,
     RdosrModel,
     TrainConfig,
     _build_networks,
@@ -18,6 +18,7 @@ from rdosr.models import (
     build_classifier_c,
     build_classifier_f,
     build_decoder_d,
+    build_encoder_e,
     effective_lambda_z,
     embed,
     load_checkpoint,
@@ -34,12 +35,15 @@ from util import (
     KINK_MARGIN,
     ReferenceAdam,
     ReferenceStickHead,
+    bits,
     entropy_sparsity_reference,
     encoder_margin,
     grads,
     pack,
     param_loss_fn,
     randomize,
+    reference_train_stage1,
+    reference_train_stage2,
     stack_relu_margin,
     unpack,
     whole_batch_closed_predict,
@@ -112,11 +116,11 @@ def test_classifier_f_node_counts():
 
 def test_encoder_decoder_classifier_node_counts():
     rng = np.random.default_rng(0)
-    e = EncoderE.create(9, rng, dirichlet=True)
-    trunk_widths = [layer.w.shape for layer in e.trunk.layers[::2]]
+    e = build_encoder_e(9, rng, dirichlet=True)
+    trunk_widths = [layer.w.shape for layer in e.layers[0].layers[::2]]
     assert trunk_widths == [(9, 3), (3, 3), (3, 3), (3, 3)]
-    assert e.head.u_w.shape == (3, 10)
-    assert e.head.beta_w.shape == (3, 10)
+    assert e.layers[1].u_w.shape == (3, 10)
+    assert e.layers[1].beta_w.shape == (3, 10)
     d = build_decoder_d(9, rng)
     assert [l.w.shape for l in d.layers if hasattr(l, "w")] == [(10, 10), (10, 9)]
     c = build_classifier_c(9, rng)
@@ -124,8 +128,8 @@ def test_encoder_decoder_classifier_node_counts():
 
 
 def test_plain_head_for_ae_cls():
-    e = EncoderE.create(5, np.random.default_rng(1), dirichlet=False)
-    assert not e.dirichlet
+    e = build_encoder_e(5, np.random.default_rng(1), dirichlet=False)
+    assert not isinstance(e.layers[1], StickHead)
     s = e.forward(np.random.default_rng(2).normal(size=(7, 5)))
     assert s.shape == (7, 10)
     assert (s >= 0.0).all()  # relu representation
@@ -212,7 +216,7 @@ def test_stage1_gradients_match_finite_differences():
 
 def _fresh_stage2_instance(seed, dirichlet=True, l_known=5):
     rng = np.random.default_rng(seed)
-    e = EncoderE.create(l_known, rng, dirichlet=dirichlet)
+    e = build_encoder_e(l_known, rng, dirichlet=dirichlet)
     d = build_decoder_d(l_known, rng)
     c = build_classifier_c(l_known, rng)
     params = e.params() + d.params() + c.params()
@@ -244,14 +248,14 @@ def test_stage2_gradients_match_finite_differences():
 
 def test_stage2_loss_perfect_reconstruction_one_hot_s():
     rng = np.random.default_rng(8)
-    e = EncoderE.create(2, rng, dirichlet=False)
+    e = build_encoder_e(2, rng, dirichlet=False)
     d = build_decoder_d(2, rng)
     c = build_classifier_c(2, rng)
     # constant one-hot representation via biases, decoder emits exactly z
     for p in e.params():
         p.value[...] = 0.0
-    e.head.layers[0].b.value[...] = 0.0
-    e.head.layers[0].b.value[0, 0] = 1.0
+    e.layers[1].layers[0].b.value[...] = 0.0
+    e.layers[1].layers[0].b.value[0, 0] = 1.0
     for p in d.params():
         p.value[...] = 0.0
     z_const = np.array([[0.7, -0.2], [0.7, -0.2]])
@@ -265,12 +269,12 @@ def test_stage2_loss_perfect_reconstruction_one_hot_s():
 
 def test_stage2_loss_uniform_s_entropy_bound():
     rng = np.random.default_rng(9)
-    e = EncoderE.create(3, rng, dirichlet=False)
+    e = build_encoder_e(3, rng, dirichlet=False)
     d = build_decoder_d(3, rng)
     c = build_classifier_c(3, rng)
     for p in e.params():
         p.value[...] = 0.0
-    e.head.layers[0].b.value[...] = 0.25  # uniform positive representation
+    e.layers[1].layers[0].b.value[...] = 0.25  # uniform positive representation
     z = rng.normal(size=(4, 3))
     y = one_hot(np.ones(4, dtype=int), 3)
     lam_s = 7e-4
@@ -357,7 +361,7 @@ def test_train_stage2_reduces_reconstruction_tenfold():
 
 def test_train_stage2_zero_epochs_is_identity():
     rng = np.random.default_rng(5)
-    e = EncoderE.create(3, rng, dirichlet=True)
+    e = build_encoder_e(3, rng, dirichlet=True)
     d = build_decoder_d(3, rng)
     c = build_classifier_c(3, rng)
     params = e.params() + d.params() + c.params()
@@ -370,7 +374,7 @@ def test_train_stage2_zero_epochs_is_identity():
 
 def _stage2_nets():
     rng = np.random.default_rng(5)
-    e = EncoderE.create(3, rng, dirichlet=True)
+    e = build_encoder_e(3, rng, dirichlet=True)
     return e, build_decoder_d(3, rng), build_classifier_c(3, rng), rng
 
 
@@ -539,11 +543,15 @@ def test_open_score_with_labels_matches_separate_calls(mode, space):
 
 
 def _caches(*networks):
-    """Every backward cache held by the layers of the given stacks/encoders."""
-    layers = []
-    for net in networks:
-        layers += [*net.trunk.layers, net.head] if isinstance(net, EncoderE) else net.layers
-    return [getattr(l, a) for l in layers for a in ("_x", "_y", "_cache") if hasattr(l, a)]
+    """Every backward cache held by the layers of the given stacks, nested
+    stacks included."""
+    caches = []
+    for l in (l for net in networks for l in net.layers):
+        if isinstance(l, Stack):
+            caches += _caches(l)
+        else:
+            caches += [getattr(l, a) for a in ("_x", "_y", "_cache") if hasattr(l, a)]
+    return caches
 
 
 def test_scoring_keeps_no_backward_cache():
@@ -695,7 +703,7 @@ def test_image_space_mode_wires_band_width():
     ds = small_dataset()
     cfg = quick_config(mode="ae_cls_dirichlet", space="image", epochs_stage2=20)
     model, _, parts = train_pipeline(ds, {4}, cfg, 0.5)
-    assert model.e.trunk.layers[0].w.shape[0] == ds.band_count
+    assert model.e.layers[0].layers[0].w.shape[0] == ds.band_count
     assert model.d.layers[-1].w.shape[1] == ds.band_count
     scores = model.open_score(parts.test_known.pixels)
     assert np.isfinite(scores).all()
@@ -760,6 +768,69 @@ def test_flat_adam_checkpoint_matches_per_block_reference(tmp_path, monkeypatch)
         save_checkpoint(path, model)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+# the checkpoint's array names, as the container wrote them before layers
+# named their own parameters
+_F_ARRAYS = [
+    "norm.mean", "norm.std",
+    "f.0.w", "f.0.b", "f.1.w", "f.1.b", "f.2.w", "f.2.b", "f.3.w", "f.3.b", "f.4.w", "f.4.b",
+]
+_STICK_ARRAYS = _F_ARRAYS + [
+    "e.trunk.0.w", "e.trunk.0.b", "e.trunk.1.w", "e.trunk.1.b",
+    "e.trunk.2.w", "e.trunk.2.b", "e.trunk.3.w", "e.trunk.3.b",
+    "e.head.u.w", "e.head.u.b", "e.head.beta.w", "e.head.beta.b",
+    "d.0.w", "d.0.b", "d.1.w", "d.1.b", "c.0.w", "c.0.b",
+]
+_PLAIN_ARRAYS = _F_ARRAYS + [
+    "e.trunk.0.w", "e.trunk.0.b", "e.trunk.1.w", "e.trunk.1.b",
+    "e.trunk.2.w", "e.trunk.2.b", "e.trunk.3.w", "e.trunk.3.b",
+    "e.head.0.w", "e.head.0.b",
+    "d.0.w", "d.0.b", "d.1.w", "d.1.b", "c.0.w", "c.0.b",
+]
+_ARRAYS = {"rdosr": _STICK_ARRAYS, "ae_cls_dirichlet": _STICK_ARRAYS,
+           "ae_cls": _PLAIN_ARRAYS, "softmax": _F_ARRAYS}
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("mode", MODES)
+def test_checkpoint_array_names_are_pinned(tmp_path, mode, space):
+    import json
+
+    from rdosr.models import _CKPT_HEADER
+
+    cfg = quick_config(mode=mode, space=space, epochs_stage1=0, epochs_stage2=0)
+    model, _, _ = train_pipeline(small_dataset(), {4}, cfg, 0.5)
+    path = tmp_path / "model.rdck"
+    save_checkpoint(path, model)
+    raw = path.read_bytes()
+    _, _, blob_len = _CKPT_HEADER.unpack_from(raw)
+    header = json.loads(raw[_CKPT_HEADER.size : _CKPT_HEADER.size + blob_len])
+    assert [name for name, _, _ in header["arrays"]] == _ARRAYS[mode]
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("mode", MODES)
+def test_shared_training_loop_matches_reference_loops(tmp_path, monkeypatch, mode, space):
+    # noisy spectra, a slow rate and a batch size that does not divide the
+    # 90 training rows: stage 1 logs accuracies below 1 from uneven batches
+    ds = synth_generate(l_total=4, bands=16, per_class=60, seed=0, noise_sigma=0.5)
+    cfg = quick_config(mode=mode, space=space, epochs_stage1=3, epochs_stage2=4,
+                       batch_size=37, lr=1e-5, stage1_target_accuracy=1.0)
+    runs = []
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr("rdosr.models.train_stage1", reference_train_stage1)
+            monkeypatch.setattr("rdosr.models.train_stage2", reference_train_stage2)
+        model, logs, _ = train_pipeline(ds, {4}, cfg, 0.5)
+        path = tmp_path / f"model{len(runs)}.rdck"
+        save_checkpoint(path, model)
+        values = [[r.epoch, *bits([getattr(r, k) for k in vars(r) if k != "epoch"])]
+                  for stage in ("stage1", "stage2") for r in logs[stage]]
+        runs.append((path.read_bytes(), values))
+    assert any(r.accuracy < 1.0 for r in logs["stage1"])
+    assert len(runs[0][1]) == 3 + (0 if mode == "softmax" else 4)
+    assert runs[0] == runs[1]
 
 
 def test_checkpoint_format_errors(tmp_path):

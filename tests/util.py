@@ -13,6 +13,8 @@ import numpy as np
 
 from rdosr.diffcore import (
     ActivationLayer,
+    Adam,
+    NumericError,
     ParamBlock,
     Stack,
     affine,
@@ -22,6 +24,15 @@ from rdosr.diffcore import (
     softplus,
 )
 from rdosr.dirichletnet import BETA_FLOOR, U_CLAMP, StickHead, kuma_v, stick_break
+from rdosr.models import (
+    Stage1Record,
+    Stage2Record,
+    _stage1_loss,
+    _stage2_loss,
+    _training_set,
+    effective_lambda_z,
+    sparsity_weight,
+)
 
 # must comfortably exceed the 1e-5 probe step times any activation magnitude
 KINK_MARGIN = 1e-3
@@ -73,13 +84,15 @@ def stack_relu_margin(stack: Stack, x: np.ndarray):
     return margin, t
 
 
-def encoder_margin(encoder, z: np.ndarray):
-    """Kink margin and output of an EncoderE (either head kind)."""
-    margin, hidden = stack_relu_margin(encoder.trunk, z)
-    if encoder.dirichlet:
-        s = encoder.head.forward(hidden)
+def encoder_margin(encoder: Stack, z: np.ndarray):
+    """Kink margin and output of an encoder `Stack([trunk, head])` (either
+    head kind)."""
+    trunk, head = encoder.layers
+    margin, hidden = stack_relu_margin(trunk, z)
+    if isinstance(head, StickHead):
+        s = head.forward(hidden)
     else:
-        head_margin, s = stack_relu_margin(encoder.head, hidden)
+        head_margin, s = stack_relu_margin(head, hidden)
         margin = min(margin, head_margin)
     return margin, s
 
@@ -112,6 +125,62 @@ class ReferenceAdam:
             v_hat = v / (1.0 - self.beta2**t)
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
             p.zero_grad()
+
+
+def _epoch_batches(n, batch_size, rng):
+    perm = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        yield perm[start : start + batch_size]
+
+
+def reference_train_stage1(f, pixels, labels_dense, config, rng):
+    """Stage 1 as its own epoch loop: the reference the shared loop of
+    `train_stage1` must match in checkpoint bytes and log values."""
+    pixels, labels, y = _training_set(f, f, pixels, labels_dense, "stage 1")
+    n = pixels.shape[0]
+    lam_z = effective_lambda_z(config)
+    opt = Adam(f.params(), lr=config.lr)
+    opt.zero_grad()
+    log = []
+    for epoch in range(config.epochs_stage1):
+        loss_sum = 0.0
+        correct = 0
+        for idx in _epoch_batches(n, config.batch_size, rng):
+            loss, logits = _stage1_loss(f, pixels[idx], y[idx], config.lambda_f, lam_z, True)
+            if not np.isfinite(loss):
+                raise NumericError(f"stage 1 loss became non-finite at epoch {epoch}")
+            loss_sum += loss * idx.size
+            correct += int((np.argmax(logits, axis=1) + 1 == labels[idx]).sum())
+            opt.step()
+        acc = correct / n
+        log.append(Stage1Record(epoch=epoch, loss=loss_sum / n, accuracy=acc))
+        if acc >= config.stage1_target_accuracy:
+            break
+    return log
+
+
+def reference_train_stage2(e, d, c, z, labels_dense, config, rng):
+    """Stage 2 as its own epoch loop, with the entropy weight set once per
+    epoch: the reference for `train_stage2`."""
+    z, _, y = _training_set(e, c, z, labels_dense, "stage 2")
+    n = z.shape[0]
+    dirichlet = isinstance(e.layers[-1], StickHead)
+    opt = Adam(e.params() + d.params() + c.params(), lr=config.lr)
+    opt.zero_grad()
+    log = []
+    for epoch in range(config.epochs_stage2):
+        lam_s = sparsity_weight(config, epoch) if dirichlet else 0.0
+        sums = np.zeros(4)
+        for idx in _epoch_batches(n, config.batch_size, rng):
+            loss, parts = _stage2_loss(
+                e, d, c, z[idx], y[idx], config.lambda_r, lam_s, config.lambda_c, True
+            )
+            if not np.isfinite(loss):
+                raise NumericError(f"stage 2 loss became non-finite at epoch {epoch}")
+            sums += idx.size * np.array([loss, *parts])
+            opt.step()
+        log.append(Stage2Record(epoch, *(sums / n)))
+    return log
 
 
 def sigmoid_split(x: np.ndarray) -> np.ndarray:
