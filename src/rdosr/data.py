@@ -213,10 +213,10 @@ def pair(cube: Cube, labelmap: LabelMap) -> HsiDataset:
     mask = labelmap.labels > 0
     if not mask.any():
         raise DomainError("label map has no labeled pixels")
-    labels = labelmap.labels[mask]
+    labels = labelmap.labels[mask]  # boolean indexing copies, as cube.values[mask] does
     dataset = HsiDataset(
-        pixels=cube.values[mask].copy(),
-        labels=labels.copy(),
+        pixels=cube.values[mask],
+        labels=labels,
         band_count=cube.band_count,
         class_count=int(labels.max()),
     )
@@ -262,7 +262,9 @@ class Normalizer:
             raise ShapeError(
                 f"pixels have {pixels.shape[1]} bands, normalizer expects {self.mean.shape[0]}"
             )
-        return (pixels - self.mean) / self.std
+        out = pixels - self.mean
+        out /= self.std  # in place: the same bits as `(pixels - mean) / std`
+        return out
 
 
 @dataclass(frozen=True)

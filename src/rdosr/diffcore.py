@@ -81,7 +81,7 @@ class ParamBlock:
         self.value = np.ascontiguousarray(value, dtype=np.float64)
         if self.value.ndim != 2:
             raise ShapeError(f"parameter must be 2-D, got shape {self.value.shape}")
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros(self.value.shape)  # fresh zero pages, untouched until written
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -391,7 +391,10 @@ class ActivationLayer:
         self._y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
-        y = _ACTIVATIONS[self.kind][0](x)
+        """keep=False runs forward only, and a relu writes its output over `x`
+        (in a `Stack`, a fresh affine output); keep=True never changes `x`."""
+        in_place = not keep and self.kind == "relu"
+        y = np.maximum(x, 0.0, out=x) if in_place else _ACTIVATIONS[self.kind][0](x)
         self._x, self._y = (x, y) if keep else (None, None)
         return y
 
@@ -409,7 +412,8 @@ class Stack:
         self.layers = list(layers)
 
     def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
-        """keep=False runs forward only: no layer keeps a backward cache."""
+        """keep=False runs forward only: no layer keeps a backward cache, and
+        each relu writes over the activation it is handed."""
         for layer in self.layers:
             x = layer.forward(x, keep=keep)
         return x

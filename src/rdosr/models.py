@@ -13,7 +13,9 @@ from __future__ import annotations
 import io
 import json
 import struct
+import sys
 from dataclasses import asdict, dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -121,6 +123,8 @@ class TrainConfig:
             raise DomainError("stage1_target_accuracy must lie in (0, 1]")
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         if self.embedding_scale <= 0.0:
             raise DomainError("embedding_scale must be > 0")
         if self.mode not in MODES:
@@ -600,8 +604,10 @@ _CONFIG_TYPES = {
 
 
 def _is(x, *kinds: type) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(x, kinds) and not isinstance(x, bool)
+    # JSON true/false load as bool, a subclass of int; an integer for a float
+    # field must convert to a float without overflow
+    ok = isinstance(x, kinds) and not isinstance(x, bool)
+    return ok and not (float in kinds and type(x) is int and abs(x) > sys.float_info.max)
 
 
 def _check_header(path, header) -> None:
@@ -631,6 +637,10 @@ def _check_header(path, header) -> None:
         raise FormatError(f"{path}: arrays must be [name, rows, cols] with rows, cols >= 0")
 
 
+# the loader's generator: a stored array overwrites every weight it "draws"
+_NO_DRAWS = SimpleNamespace(uniform=lambda low, high, size: np.empty(size))
+
+
 def load_checkpoint(path) -> RdosrModel:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -655,11 +665,8 @@ def load_checkpoint(path) -> RdosrModel:
         nbytes = 8 * rows * cols
         if offset + nbytes > len(raw):
             raise TruncatedError(f"{path}: array {name} extends past end of file")
-        values[name] = (
-            np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=offset)
-            .reshape(rows, cols)
-            .astype(np.float64)
-        )
+        # a read-only view of the file: each array is copied once, below
+        values[name] = np.frombuffer(raw, "<f8", rows * cols, offset).reshape(rows, cols)
         if not np.isfinite(values[name]).all():
             raise FormatError(f"{path}: array {name} holds a non-finite value")
         offset += nbytes
@@ -674,17 +681,15 @@ def load_checkpoint(path) -> RdosrModel:
         raise FormatError(f"{path}: norm.std must be positive")
 
     known = tuple(int(c) for c in header["known_class_ids"])
-    rng = np.random.default_rng(0)  # placeholder init, every block is overwritten
-    f, e, d, c = _build_networks(config, int(header["band_count"]), len(known), rng)
+    mean, std = (values[k].ravel().astype(np.float64) for k in ("norm.mean", "norm.std"))
+    f, e, d, c = _build_networks(config, int(header["band_count"]), len(known), _NO_DRAWS)
     model = RdosrModel(
         config=config,
         band_count=int(header["band_count"]),
         known_class_ids=known,
         unknown_class_ids=tuple(int(u) for u in header["unknown_class_ids"]),
         train_fraction=float(header["train_fraction"]),
-        normalizer=Normalizer(
-            mean=values["norm.mean"].ravel(), std=values["norm.std"].ravel()
-        ),
+        normalizer=Normalizer(mean=mean, std=std),
         f=f,
         e=e,
         d=d,

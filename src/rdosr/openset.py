@@ -221,11 +221,10 @@ def _row(cls: int, fut: Future) -> SweepRow:
 def export_roc(path, curve: RocCurve) -> None:
     """Comma-separated curve points with the AUC comment ahead of the final
     point, which is always (1,1)."""
-    lines = ["fpr,tpr"]
-    lines += [f"{f:.6f},{t:.6f}" for f, t in zip(curve.fpr[:-1], curve.tpr[:-1])]
-    lines.append(f"# auc={curve.auc:.6f}")
-    lines.append(f"{curve.fpr[-1]:.6f},{curve.tpr[-1]:.6f}")
-    _write_lines(path, lines)
+    # fpr, tpr, fpr, ...: one % call formats each point but the last as f"{f:.6f},{t:.6f}"
+    xy = curve.points.ravel().tolist()
+    body = ("%.6f,%.6f\n" * (len(xy) // 2 - 1)) % tuple(xy[:-2])
+    _write_lines(path, ["fpr,tpr", f"{body}# auc={curve.auc:.6f}", "%.6f,%.6f" % tuple(xy[-2:])])
 
 
 def export_histogram(path, scores_known, scores_unknown, bins: int, lo: float, hi: float) -> None:

@@ -1,13 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdosr import cli, models
-from rdosr.data import SplitSpec, load_cube, load_labels, pair, split
+from rdosr.data import FormatError, SplitSpec, load_cube, load_labels, pair, split
+from rdosr.diffcore import DomainError
 from rdosr.models import _CKPT_HEADER, load_checkpoint
 
 
@@ -127,9 +132,22 @@ def test_train_manifest_numbers_are_plain_literals(trained_dir):
 
 
 def test_train_missing_inputs_exit_2(tmp_path, capsys):
-    rc = cli.main(["train", "--out", str(tmp_path)])
+    # the unknown classes are checked first, then the cube
+    for extra, missing in (([], "unknown"), (["--unknown", "1"], "cube")):
+        rc = cli.main(["train", "--out", str(tmp_path), *extra])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: missing required input: {missing} (flag or config key)"
+        ]
+
+
+def test_train_negative_seed_exit_2(synth_dir, tmp_path, capsys):
+    rc = cli.main(
+        ["train", "--cube", str(synth_dir / "cube.hsid"), "--labels",
+         str(synth_dir / "labels.hsil"), "--unknown", "4", "--seed", "-1", "--out", str(tmp_path)]
+    )
     assert rc == 2
-    assert "cube" in capsys.readouterr().err or True
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0"]
 
 
 def test_train_rejects_unknown_config_key(synth_dir, tmp_path, capsys):
@@ -310,9 +328,13 @@ def _set_value(name, value):
         _set_value("d.1.b", np.inf),
         _set_value("norm.std", 0.0),
         _set_value("norm.mean", np.nan),
+        lambda h, values: h["config"].update(seed=-1),
+        lambda h, values: h.update(train_fraction=10**400),
+        lambda h, values: h["config"].update(embedding_scale=10**400),
     ],
     ids=["extra-config-key", "no-band-count", "negative-dim", "not-a-triple", "lr-type",
-         "no-norm-mean", "norm-mean-shape", "nan-weight", "inf-bias", "zero-std", "nan-mean"],
+         "no-norm-mean", "norm-mean-shape", "nan-weight", "inf-bias", "zero-std", "nan-mean",
+         "negative-seed", "huge-train-fraction", "huge-embedding-scale"],
 )
 def test_eval_malformed_checkpoint_header_exit_2(synth_dir, trained_dir, tmp_path, edit):
     raw = (trained_dir / "model.rdck").read_bytes()
@@ -338,6 +360,80 @@ def test_eval_malformed_checkpoint_header_exit_2(synth_dir, trained_dir, tmp_pat
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzed checkpoints: loading raises only the format and domain errors, and
+# eval then exits 2 with one stderr line, never a traceback
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(-(2**70), 2**70),
+    st.just(10**400), st.floats(), st.text(max_size=6), st.lists(st.integers(-2, 9), max_size=4),
+)
+_DELETE = object()
+
+
+def _set_path(tree, path, value):
+    for key in path[:-1]:
+        tree = tree[key]
+    if value is _DELETE:
+        del tree[path[-1]]
+    else:
+        tree[path[-1]] = value
+
+
+@st.composite
+def _mutated_checkpoint(draw, raw):
+    """`raw` truncated, with one byte flipped, with one header field edited
+    (or dropped), or with one field of the fixed-size prefix replaced."""
+    magic, version, blob_len = _CKPT_HEADER.unpack_from(raw)
+    header_end = _CKPT_HEADER.size + blob_len
+    kind = draw(st.sampled_from(["truncate", "flip", "header", "prefix"]))
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip":
+        # mostly in the header and the first stored arrays, else anywhere
+        at = draw(st.integers(0, header_end + 800) | st.integers(0, len(raw) - 1))
+        return raw[:at] + bytes([raw[at] ^ draw(st.integers(1, 255))]) + raw[at + 1 :]
+    payload = raw[header_end:]
+    if kind == "prefix":
+        fields = [magic, version, blob_len]
+        i = draw(st.integers(0, 2))
+        fields[i] = draw(st.binary(min_size=4, max_size=4) if i == 0 else st.integers(0, 2**32 - 1))
+        return _CKPT_HEADER.pack(*fields) + raw[_CKPT_HEADER.size : header_end] + payload
+    header = json.loads(raw[_CKPT_HEADER.size : header_end])
+    paths = [(k,) for k in header] + [("config", k) for k in header["config"]]
+    paths += [("arrays", i, j) for i in range(len(header["arrays"])) for j in range(3)]
+    _set_path(header, draw(st.sampled_from(paths)), draw(_JSON_VALUES | st.just(_DELETE)))
+    blob = json.dumps(header, sort_keys=True).encode()
+    return _CKPT_HEADER.pack(magic, version, len(blob)) + blob + payload
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "model.rdck"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_checkpoint_raises_format_errors_and_eval_exits_2(
+    synth_dir, trained_dir, fuzz_path, data
+):
+    fuzz_path.write_bytes(data.draw(_mutated_checkpoint((trained_dir / "model.rdck").read_bytes())))
+    try:
+        load_checkpoint(fuzz_path)
+        loads = True
+    except (FormatError, DomainError):
+        loads = False
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = cli.main(["eval", "--model", str(fuzz_path), "--cube", str(synth_dir / "cube.hsid"),
+                       "--labels", str(synth_dir / "labels.hsil")])
+    lines = err.getvalue().splitlines()
+    # a file that loads may still name other classes (2) or overflow (3)
+    assert rc in ((0, 2, 3) if loads else (2,)), (rc, lines)
+    assert len(lines) == (rc != 0), lines
 
 
 # ---------------------------------------------------------------------------

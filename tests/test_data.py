@@ -112,6 +112,17 @@ def test_pair_keeps_labeled_pixels_only():
     assert set(ds.labels.tolist()) == {1, 2}
 
 
+def test_pair_shares_no_memory_with_the_scene():
+    rng = np.random.default_rng(8)
+    cube = random_cube(rng, h=3, w=5, b=4)
+    labels = LabelMap(height=3, width=5, labels=rng.integers(0, 3, 15))
+    labels.labels[:2] = [1, 2]
+    ds = pair(cube, labels)
+    assert not np.shares_memory(ds.pixels, cube.values)
+    assert not np.shares_memory(ds.labels, labels.labels)
+    assert np.array_equal(ds.pixels, cube.values[labels.labels > 0])
+
+
 def test_pair_rejects_missing_class():
     rng = np.random.default_rng(7)
     cube = random_cube(rng, h=1, w=4, b=2)
@@ -166,6 +177,17 @@ def test_normalizer_applies_fit_statistics_to_other_pixels():
     assert np.allclose(out, (other - norm.mean) / norm.std)
     # far-shifted pixels stay far after the shared transform
     assert out.mean() > 5.0
+
+
+def test_normalizer_apply_bit_equal_to_subtract_then_divide():
+    rng = np.random.default_rng(14)
+    pixels = rng.normal(3.0, 5.0, size=(300, 7))
+    norm = Normalizer.fit(pixels[:100])
+    before = pixels.copy()
+    out = norm.apply(pixels)
+    ref = (pixels - norm.mean) / norm.std
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(pixels, before) and not np.shares_memory(out, pixels)
 
 
 def test_normalizer_empty_fit_set():

@@ -15,9 +15,11 @@ from rdosr.diffcore import (
     grad_check,
     l1_mean,
     l2_recon_mean,
+    relu,
     softmax,
     sigmoid,
     softmax_xent,
+    softplus,
 )
 from util import KINK_MARGIN, ReferenceAdam, grads, pack, param_loss_fn, sigmoid_split, unpack
 
@@ -92,6 +94,39 @@ def test_sigmoid_matches_split_by_sign_form_bit_for_bit():
     grid = np.concatenate([edges, -edges, rng.normal(0.0, 30.0, 4000), rng.uniform(-800, 800, 4000)])
     x = grid.reshape(-1, 1)
     assert np.array_equal(sigmoid(x).view(np.int64), sigmoid_split(x).view(np.int64))
+
+
+def _activation_inputs():
+    edges = [-2.0, -0.0, 0.0, 5e-324, -5e-324, 3.0, np.inf, -np.inf, np.nan]
+    return np.concatenate([[edges], np.random.default_rng(5).normal(size=(60, 9))])
+
+
+@pytest.mark.parametrize("kind", ["relu", "sigmoid", "softplus"])
+def test_activation_forward_only_bit_equal_to_allocating_form(kind):
+    x = _activation_inputs()
+    with np.errstate(invalid="ignore"):  # the NaN input
+        ref = {"relu": relu, "sigmoid": sigmoid, "softplus": softplus}[kind](x)
+        got = ActivationLayer(kind).forward(x.copy(), keep=False)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ["relu", "sigmoid", "softplus"])
+def test_activation_keep_never_changes_its_input(kind):
+    x = _activation_inputs()
+    before = x.copy()
+    layer = ActivationLayer(kind)
+    with np.errstate(invalid="ignore"):
+        y = layer.forward(x)
+        assert np.array_equal(x.view(np.int64), before.view(np.int64))
+        assert layer._x is x and not np.shares_memory(y, x)
+        if kind != "relu":  # only a forward-only relu writes over its input
+            layer.forward(x, keep=False)
+            assert np.array_equal(x.view(np.int64), before.view(np.int64))
+
+
+def test_relu_forward_only_writes_over_its_input():
+    x = _activation_inputs()
+    assert ActivationLayer("relu").forward(x, keep=False) is x
 
 
 @pytest.mark.parametrize("kind", ["relu", "sigmoid", "softplus"])

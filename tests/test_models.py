@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from rdosr.data import Normalizer, synth_generate
-from rdosr.diffcore import Adam, DomainError, NumericError, ShapeError, Stack, grad_check
+from rdosr.diffcore import (
+    ActivationLayer,
+    Adam,
+    DomainError,
+    NumericError,
+    ShapeError,
+    Stack,
+    affine,
+    grad_check,
+    relu,
+)
 from rdosr.dirichletnet import StickHead
 from rdosr.models import (
     F_HIDDEN,
@@ -88,6 +98,8 @@ def test_config_validation():
         TrainConfig(space="latent")
     with pytest.raises(DomainError):
         TrainConfig(batch_size=0)
+    with pytest.raises(DomainError):  # NumPy's generators take no negative seed
+        TrainConfig(seed=-1)
 
 
 def test_sparsity_decay_schedule_vanishes():
@@ -604,6 +616,30 @@ def test_block_scoring_bit_equal_to_one_whole_batch(mode, space):
         assert np.array_equal(model.closed_predict(x), whole_batch_closed_predict(model, x)), n
 
 
+def test_forward_only_f_bit_equal_to_allocating_relu():
+    f = _untrained_model().f
+    x = np.random.default_rng(3).normal(size=(700, 64))
+    ref = x
+    for layer in f.layers:
+        is_relu = isinstance(layer, ActivationLayer)
+        ref = relu(ref) if is_relu else affine(layer.w.value, layer.b.value, ref)
+    assert np.array_equal(bits(f.forward(x, keep=False)), bits(ref))
+    assert np.array_equal(bits(f.forward(x)), bits(ref))
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("mode", MODES)
+def test_scoring_leaves_the_callers_pixels_unchanged(mode, space):
+    model = _untrained_model(mode, space)
+    pixels = np.random.default_rng(4).normal(size=(SCORE_BLOCK + 300, model.band_count))
+    before = pixels.copy()
+    model.open_score(pixels, with_labels=True)
+    model.open_score(pixels)
+    model.closed_predict(pixels)
+    embed(model.f, pixels, 10.0)
+    assert np.array_equal(bits(pixels), bits(before))
+
+
 def test_block_embedding_bit_equal_to_one_whole_batch():
     f = _untrained_model().f
     x = np.random.default_rng(2).normal(size=(max(_BLOCK_SIZES), 64))
@@ -650,10 +686,12 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-# F's widest activation for one block is SCORE_BLOCK x 1024 float64 (8.4 MB);
-# keeping every layer's input for a backward pass, or running F over every
-# row at once, would exceed three of them
-_PEAK_BOUND = 3 * SCORE_BLOCK * max(F_HIDDEN) * 8
+# F's widest activation for one block is SCORE_BLOCK x 1024 float64 (8.4 MB).
+# Forward only, a layer holds its input and its output, and a relu writes
+# over the affine output it follows: 1.5 of them at the widest layer. A relu
+# that allocates, keeping every layer's input for a backward pass, or running
+# F over every row at once would reach two of them
+_PEAK_BOUND = 2 * SCORE_BLOCK * max(F_HIDDEN) * 8
 
 
 def test_open_score_peak_memory_stays_below_three_widest_activations():
@@ -752,6 +790,42 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "again.rdck"
     save_checkpoint(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _memory_owner(a: np.ndarray):
+    # the object at the end of an array's chain of bases: None when an
+    # array owns its memory, the bytes object for a view of a file read
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.base
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("mode", MODES)
+def test_load_checkpoint_draws_nothing_and_copies_into_owned_arrays(
+    tmp_path, monkeypatch, mode, space
+):
+    model = _untrained_model(mode, space, bands=8)
+    path = tmp_path / "model.rdck"
+    save_checkpoint(path, model)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded = load_checkpoint(path)
+    arrays = [p.value for _, p in loaded.named_params()]
+    arrays += [p.grad for _, p in loaded.named_params()]
+    arrays += [loaded.normalizer.mean, loaded.normalizer.std]
+    for a in arrays:
+        assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
+        assert _memory_owner(a) is None
+    probe = np.random.Generator(np.random.PCG64(1)).normal(size=(50, 8))
+    scores, labels = loaded.open_score(probe, with_labels=True)
+    ref_scores, ref_labels = model.open_score(probe, with_labels=True)
+    assert np.array_equal(bits(scores), bits(ref_scores)) and np.array_equal(labels, ref_labels)
+    save_checkpoint(tmp_path / "again.rdck", loaded)
+    assert (tmp_path / "again.rdck").read_bytes() == path.read_bytes()
 
 
 def test_flat_adam_checkpoint_matches_per_block_reference(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from rdosr.openset import (
     roc,
     sweep,
 )
-from util import auc_bruteforce
+from util import auc_bruteforce, reference_export_roc
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +291,32 @@ def test_export_roc_layout(tmp_path):
     assert lines[-1] == "1.000000,1.000000"
     data_lines = [l for l in lines[1:] if not l.startswith("#")]
     assert len(data_lines) == curve.fpr.size
+
+
+def _rounding_edge_curve():
+    # values on, and one ulp either side of, 6th-decimal rounding edges,
+    # with signed zeros
+    edges = np.array([0.0, -0.0, 5e-7, 1.5e-6, 2.5e-6, 0.1234565, 0.4999995, 0.9999995, 1.0])
+    v = np.concatenate([edges, np.nextafter(edges, 2.0), np.nextafter(edges, -2.0)])
+    return RocCurve(fpr=v, tpr=v[::-1].copy(), auc=0.4999995)
+
+
+_ROC_CURVES = {
+    "10k-points": lambda rng: roc(rng.random(5000), rng.random(5000) + 0.2),
+    "2-points": lambda rng: RocCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.5),
+    "tied-scores": lambda rng: roc(rng.integers(0, 7, 900) / 7.0, rng.integers(2, 9, 700) / 7.0),
+    "rounding-edge": lambda rng: _rounding_edge_curve(),
+}
+
+
+@pytest.mark.parametrize("case", list(_ROC_CURVES))
+def test_export_roc_bytes_equal_per_point_formatting(tmp_path, case):
+    curve = _ROC_CURVES[case](np.random.default_rng(13))
+    export_roc(tmp_path / "roc.csv", curve)
+    reference_export_roc(tmp_path / "ref.csv", curve)
+    assert (tmp_path / "roc.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    if case == "10k-points":
+        assert curve.fpr.size > 9000
 
 
 def test_export_histogram_layout(tmp_path):

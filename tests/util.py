@@ -315,3 +315,14 @@ def whole_batch_closed_predict(model, pixels):
 
 def whole_batch_embed(f, x, scale):
     return f.forward(as_matrix(x, "x"), keep=False) / scale
+
+
+def reference_export_roc(path, curve) -> None:
+    """`export_roc` as one f-string per point: the reference the one-call
+    formatting must match byte for byte."""
+    lines = ["fpr,tpr"]
+    lines += [f"{f:.6f},{t:.6f}" for f, t in zip(curve.fpr[:-1], curve.tpr[:-1])]
+    lines.append(f"# auc={curve.auc:.6f}")
+    lines.append(f"{curve.fpr[-1]:.6f},{curve.tpr[-1]:.6f}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
