@@ -33,9 +33,18 @@ class CliError(Exception):
     """Bad invocation or unusable input files."""
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(models.TrainConfig)}
-_EXTRA_KEYS = ("cube", "labels", "unknown", "train_fraction")
-_PARSERS = {"int": int, "float": float, "str": str}
+_FIELDS = fields(models.TrainConfig)
+_KEYS = {f.name for f in _FIELDS} | {"cube", "labels", "unknown", "train_fraction"}
+
+
+def _key_value(item: str, where: str) -> tuple[str, str]:
+    """Split `key=value` at the first `=`; the key must be a config key."""
+    if "=" not in item:
+        raise CliError(f"{where}: expected key=value, got {item!r}")
+    key, value = (part.strip() for part in item.split("=", 1))
+    if key not in _KEYS:
+        raise CliError(f"{where}: unknown config key {key!r}")
+    return key, value
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -43,27 +52,23 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliError(f"{source}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_TYPES and key not in _EXTRA_KEYS:
-            raise CliError(f"{source}:{lineno}: unknown config key {key!r}")
-        values[key] = value
+        if line:
+            key, value = _key_value(line, f"{source}:{lineno}")
+            values[key] = value
     return values
 
 
-def _coerce(key: str, value: str):
-    kind = _FIELD_TYPES.get(key, "str" if key in ("cube", "labels", "unknown") else "float")
+def _coerce(key: str, value: str, kind: type):
     try:
-        return _PARSERS[kind](value)
+        return kind(value)
     except ValueError as exc:
         raise CliError(f"config key {key}: {exc}") from exc
 
 
 def build_train_config(values: dict[str, str]) -> models.TrainConfig:
-    kwargs = {k: _coerce(k, v) for k, v in values.items() if k in _FIELD_TYPES}
+    # each field parses as the type of its default
+    kwargs = {f.name: _coerce(f.name, values[f.name], type(f.default))
+              for f in _FIELDS if f.name in values}
     try:
         return models.TrainConfig(**kwargs)
     except DomainError as exc:
@@ -77,13 +82,7 @@ def _merge_config(args) -> dict[str, str]:
         if not path.is_file():
             raise CliError(f"config file not found: {path}")
         values.update(parse_config_text(path.read_text(encoding="utf-8"), str(path)))
-    for item in getattr(args, "set", None) or []:
-        if "=" not in item:
-            raise CliError(f"--set expects key=value, got {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key not in _FIELD_TYPES and key not in _EXTRA_KEYS:
-            raise CliError(f"--set: unknown config key {key!r}")
-        values[key] = value
+    values.update(_key_value(item, "--set") for item in getattr(args, "set", None) or [])
     # explicit flags win over both the file and --set
     for key in ("cube", "labels", "unknown", "seed"):
         flag = getattr(args, key, None)
@@ -158,7 +157,7 @@ def cmd_train(args) -> int:
     if "unknown" not in values:
         raise CliError("missing required input: unknown (flag or config key)")
     unknown = _parse_unknown(values["unknown"])
-    train_fraction = float(values.get("train_fraction", 0.5))
+    train_fraction = _coerce("train_fraction", values.get("train_fraction", "0.5"), float)
     config = build_train_config(values)
     dataset, cube_path, label_path = _load_dataset(values)
 
@@ -246,7 +245,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     values = _merge_config(args)
-    train_fraction = float(values.get("train_fraction", 0.5))
+    train_fraction = _coerce("train_fraction", values.get("train_fraction", "0.5"), float)
     config = build_train_config(values)
     dataset, _, _ = _load_dataset(values)
     report = openset.sweep(dataset, config, train_fraction, jobs=args.jobs)
@@ -316,11 +315,14 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # a floating-point overflow, invalid operation or division by zero
+        # stops the run where it arises, as a NumericError would
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.handler(args)
     except (CliError, data.FormatError, DomainError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

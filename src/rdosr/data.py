@@ -125,10 +125,11 @@ class HsiDataset:
 
 def _require_classes_present(dataset: HsiDataset) -> HsiDataset:
     present = np.unique(dataset.labels[dataset.labels > 0])
-    expected = np.arange(1, dataset.class_count + 1)
-    if present.size != expected.size or (present != expected).any():
-        missing = sorted(set(expected.tolist()) - set(present.tolist()))
-        raise DomainError(f"classes without any pixel: {missing}")
+    # the labels lie in 0..class_count, so a class is missing exactly when
+    # fewer distinct ones are present; the first gap in the sorted ids names it
+    if present.size != dataset.class_count:
+        missing = int((present == np.arange(1, present.size + 1)).sum()) + 1
+        raise DomainError(f"class {missing} of 1..{dataset.class_count} has no pixel")
     return dataset
 
 
@@ -136,13 +137,15 @@ def _require_classes_present(dataset: HsiDataset) -> HsiDataset:
 # container io
 
 
-def _read_header(raw: bytes, header: struct.Struct, magic: bytes, path) -> tuple:
+def _read_header(raw: bytes, header: struct.Struct, magic: bytes, path,
+                 version: int = FORMAT_VERSION) -> tuple:
+    """The fields after the magic and the version of a container's prefix."""
     if len(raw) < header.size:
         raise TruncatedError(f"{path}: file shorter than its header")
     fields = header.unpack_from(raw)
     if fields[0] != magic:
         raise BadMagicError(f"{path}: bad magic {fields[0]!r}, expected {magic!r}")
-    if fields[1] != FORMAT_VERSION:
+    if fields[1] != version:
         raise BadVersionError(f"{path}: unsupported version {fields[1]}")
     return fields[2:]
 

@@ -26,7 +26,6 @@ __all__ = [
     "glorot_uniform",
     "affine",
     "affine_backward",
-    "relu",
     "sigmoid",
     "softplus",
     "softmax",
@@ -222,10 +221,6 @@ def affine_backward(d_out: np.ndarray, w: np.ndarray, x: np.ndarray):
     return d_w, d_b, d_x
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # exp of -|x| never overflows; it is exp(-x) for x >= 0 and exp(x) below,
     # so this equals the split-by-sign form bit for bit
@@ -239,26 +234,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
-
-
-def _relu_grad(x: np.ndarray, _y: np.ndarray) -> np.ndarray:
-    # a bool mask; multiplying by it equals multiplying by its 0.0/1.0 floats
-    return x > 0.0
-
-
-def _sigmoid_grad(_x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return y * (1.0 - y)
-
-
-def _softplus_grad(x: np.ndarray, _y: np.ndarray) -> np.ndarray:
-    return sigmoid(x)
-
-
-_ACTIVATIONS = {
-    "relu": (relu, _relu_grad),
-    "sigmoid": (sigmoid, _sigmoid_grad),
-    "softplus": (softplus, _softplus_grad),
-}
 
 
 def softmax(logits) -> np.ndarray:
@@ -383,23 +358,20 @@ class AffineLayer:
 
 
 class ActivationLayer:
-    def __init__(self, kind: str) -> None:
-        if kind not in _ACTIVATIONS:
-            raise DomainError(f"unknown activation kind {kind!r}")
-        self.kind = kind
+    """The relu layer y = max(x, 0) of every network."""
+
+    def __init__(self) -> None:
         self._x: np.ndarray | None = None
-        self._y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
-        """keep=False runs forward only, and a relu writes its output over `x`
-        (in a `Stack`, a fresh affine output); keep=True never changes `x`."""
-        in_place = not keep and self.kind == "relu"
-        y = np.maximum(x, 0.0, out=x) if in_place else _ACTIVATIONS[self.kind][0](x)
-        self._x, self._y = (x, y) if keep else (None, None)
-        return y
+        """keep=False runs forward only and writes the output over `x` (in a
+        `Stack`, a fresh affine output); keep=True never changes `x`."""
+        self._x = x if keep else None
+        return np.maximum(x, 0.0, out=None if keep else x)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        return d_out * _ACTIVATIONS[self.kind][1](self._x, self._y)
+        # a bool mask; multiplying by it equals multiplying by its 0.0/1.0 floats
+        return d_out * (self._x > 0.0)
 
     def params(self) -> list[ParamBlock]:
         return []

@@ -21,12 +21,11 @@ import numpy as np
 
 from .data import (
     FormatError,
-    BadMagicError,
-    BadVersionError,
     TruncatedError,
     HsiDataset,
     Normalizer,
     SplitSpec,
+    _read_header,
     split,
 )
 from .diffcore import (
@@ -91,7 +90,10 @@ D_HIDDEN = 10
 
 @dataclass
 class TrainConfig:
-    """All tunables of a training run; defaults are the published settings."""
+    """All tunables of a training run; defaults are the published settings.
+
+    Each field takes the type of its default (a float field also an int),
+    and every float field is finite; DomainError otherwise."""
 
     lambda_f: float = 1.0
     lambda_z: float = 0.1
@@ -110,6 +112,14 @@ class TrainConfig:
     space: str = "embedding"
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            # a bool is an int to Python; a float field also takes an int
+            kinds = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise DomainError(f"{f.name} must be of type {kind.__name__}")
+            if kind is float and not abs(value) <= sys.float_info.max:
+                raise DomainError(f"{f.name} must be finite")
         for name in ("lambda_f", "lambda_z", "lambda_r", "lambda_s", "lambda_c"):
             if getattr(self, name) < 0.0:
                 raise DomainError(f"{name} must be >= 0")
@@ -169,7 +179,7 @@ def _relu_stack(width: int, hidden, rng: np.random.Generator, out_width=None) ->
     `out_width` if one is given. Layers draw their weights in order."""
     layers = []
     for h in hidden:
-        layers += [AffineLayer.create(width, h, rng, bias=RELU_BIAS), ActivationLayer("relu")]
+        layers += [AffineLayer.create(width, h, rng, bias=RELU_BIAS), ActivationLayer()]
         width = h
     if out_width is not None:
         layers.append(AffineLayer.create(width, out_width, rng))
@@ -460,11 +470,13 @@ class RdosrModel:
 
         Reconstruction-error modes return ||z - D(E(z))||_2 per row; the
         softmax baseline returns 1 - max class probability. With
-        with_labels=True returns (scores, labels), the labels equal to
-        `closed_predict(pixels)`; F runs at most once either way. Scoring is
-        forward only, in row blocks: no layer keeps a backward cache.
+        with_labels=True returns (scores, labels): the dense known-class
+        labels 1..L of F's largest logit (ties break to the lowest index). F
+        runs at most once either way. Scoring is forward only, in row blocks:
+        no layer keeps a backward cache.
         """
-        x = self._pixels(pixels)
+        x = as_matrix(pixels, "pixels")
+        self.normalizer.apply(x[:0])  # checks the band count; blocks are normalized as scored
         if self.config.mode != "softmax" and (self.e is None or self.d is None):
             raise DomainError("model has no trained reconstruction branch")
         n = x.shape[0]
@@ -488,23 +500,6 @@ class RdosrModel:
             z /= cfg.embedding_scale  # the same bits as embed()
         diff = z - self.d.forward(self.e.forward(z, keep=False), keep=False)
         return (np.sqrt((diff * diff).sum(axis=1)), *labels)
-
-    def closed_predict(self, pixels: np.ndarray) -> np.ndarray:
-        """Dense known-class labels 1..L (ties break to the lowest index)."""
-        x = self._pixels(pixels)
-
-        def block(xb):
-            return (np.argmax(self.f.forward(self.normalizer.apply(xb), keep=False), axis=1) + 1,)
-
-        (labels,) = _by_blocks(x, block, np.empty(x.shape[0], dtype=np.int64))
-        return labels
-
-    def _pixels(self, pixels) -> np.ndarray:
-        """Raw pixels as a checked matrix; each block is normalized as it is
-        scored, and the empty slice checks the band count once."""
-        x = as_matrix(pixels, "pixels")
-        self.normalizer.apply(x[:0])
-        return x
 
     def named_params(self) -> list[tuple[str, ParamBlock]]:
         trunk, head = self.e.layers if self.e is not None else (None, None)
@@ -595,32 +590,25 @@ def save_checkpoint(path, model: RdosrModel) -> None:
 
 _HEADER_KEYS = {"config", "band_count", "known_class_ids", "unknown_class_ids",
                 "train_fraction", "arrays"}
-# JSON types a config field accepts: its default's type; a float field also
-# takes an integer, which JSON writes without a point
-_CONFIG_TYPES = {
-    f.name: (int, float) if type(f.default) is float else (type(f.default),)
-    for f in fields(TrainConfig)
-}
+_CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 def _is(x, *kinds: type) -> bool:
-    # JSON true/false load as bool, a subclass of int; an integer for a float
-    # field must convert to a float without overflow
+    # JSON true/false load as bool, a subclass of int; JSON also reads NaN
+    # and Infinity, and a number for a float must be a finite float
     ok = isinstance(x, kinds) and not isinstance(x, bool)
-    return ok and not (float in kinds and type(x) is int and abs(x) > sys.float_info.max)
+    return ok and (float not in kinds or abs(x) <= sys.float_info.max)
 
 
 def _check_header(path, header) -> None:
     """Raise FormatError unless the header has the keys, types and
-    non-negative dimensions that save_checkpoint writes."""
+    non-negative dimensions that save_checkpoint writes; TrainConfig checks
+    the config values."""
     if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
         raise FormatError(f"{path}: checkpoint header keys must be {sorted(_HEADER_KEYS)}")
     config = header["config"]
-    if not isinstance(config, dict) or set(config) != set(_CONFIG_TYPES):
-        raise FormatError(f"{path}: checkpoint config keys must be {sorted(_CONFIG_TYPES)}")
-    for key, kinds in _CONFIG_TYPES.items():
-        if not _is(config[key], *kinds):
-            raise FormatError(f"{path}: config {key} must be of type {kinds[-1].__name__}")
+    if not isinstance(config, dict) or set(config) != _CONFIG_KEYS:
+        raise FormatError(f"{path}: checkpoint config keys must be {sorted(_CONFIG_KEYS)}")
     if not _is(header["band_count"], int) or header["band_count"] < 1:
         raise FormatError(f"{path}: band_count must be a positive integer")
     for key in ("known_class_ids", "unknown_class_ids"):
@@ -644,13 +632,7 @@ _NO_DRAWS = SimpleNamespace(uniform=lambda low, high, size: np.empty(size))
 def load_checkpoint(path) -> RdosrModel:
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < _CKPT_HEADER.size:
-        raise TruncatedError(f"{path}: file shorter than its header")
-    magic, version, blob_len = _CKPT_HEADER.unpack_from(raw)
-    if magic != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise BadVersionError(f"{path}: unsupported checkpoint version {version}")
+    (blob_len,) = _read_header(raw, _CKPT_HEADER, CHECKPOINT_MAGIC, path, CHECKPOINT_VERSION)
     offset = _CKPT_HEADER.size
     try:
         header = json.loads(raw[offset : offset + blob_len].decode("utf-8"))

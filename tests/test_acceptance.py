@@ -101,24 +101,21 @@ def _affine_instance(seed):
     return param_loss_fn(params, compute), pack(params)
 
 
-def _activation_instance(kind):
-    def build(seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(4, 5))
-        if kind == "relu" and np.abs(x).min() < KINK_MARGIN:
-            return None
-        p = ParamBlock(x)
-        weight = rng.normal(size=x.shape)
-        layer = ActivationLayer(kind)
+def _relu_instance(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(4, 5))
+    if np.abs(x).min() < KINK_MARGIN:
+        return None
+    p = ParamBlock(x)
+    weight = rng.normal(size=x.shape)
+    layer = ActivationLayer()
 
-        def compute():
-            y = layer.forward(p.value)
-            p.grad += layer.backward(weight)
-            return float((y * weight).sum())
+    def compute():
+        y = layer.forward(p.value)
+        p.grad += layer.backward(weight)
+        return float((y * weight).sum())
 
-        return param_loss_fn([p], compute), pack([p])
-
-    return build
+    return param_loss_fn([p], compute), pack([p])
 
 
 def _xent_instance(seed):
@@ -271,9 +268,7 @@ def test_criterion_1_gradient_integrity():
     t0 = time.perf_counter()
     cases = {
         "affine": _affine_instance,
-        "relu": _activation_instance("relu"),
-        "sigmoid": _activation_instance("sigmoid"),
-        "softplus": _activation_instance("softplus"),
+        "relu": _relu_instance,
         "softmax_xent": _xent_instance,
         "l1_mean": _l1_instance,
         "l2_recon_mean": _l2_instance,

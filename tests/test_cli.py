@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -11,7 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdosr import cli, models
-from rdosr.data import FormatError, SplitSpec, load_cube, load_labels, pair, split
+from rdosr.data import (
+    FormatError,
+    LabelMap,
+    SplitSpec,
+    load_cube,
+    load_labels,
+    pair,
+    split,
+    write_labels,
+)
 from rdosr.diffcore import DomainError
 from rdosr.models import _CKPT_HEADER, load_checkpoint
 
@@ -160,6 +171,65 @@ def test_train_rejects_unknown_config_key(synth_dir, tmp_path, capsys):
     )
     assert rc == 2
     assert "learning_rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize(
+    "flag, setting, message",
+    [
+        ("--config", "train_fraction=abc",
+         "config key train_fraction: could not convert string to float: 'abc'"),
+        ("--set", "train_fraction=abc",
+         "config key train_fraction: could not convert string to float: 'abc'"),
+        ("--set", "lr=nan", "lr must be finite"),
+        ("--set", "embedding_scale=inf", "embedding_scale must be finite"),
+        ("--config", "lambda_r=-inf", "lambda_r must be finite"),
+        ("--set", "lr=1e999", "lr must be finite"),
+    ],
+    ids=["train-fraction-file", "train-fraction-set", "nan-lr", "inf-embedding-scale",
+         "minus-inf-lambda", "overflowing-lr"],
+)
+def test_bad_config_value_exit_2(synth_dir, tmp_path, capsys, command, flag, setting, message):
+    if flag == "--config":
+        (tmp_path / "bad.cfg").write_text(setting + "\n")
+        setting = str(tmp_path / "bad.cfg")
+    target = ["--unknown", "4", "--out", str(tmp_path / "run")] if command == "train" else [
+        "--report", str(tmp_path / "report.csv")]
+    # one epoch per stage keeps a run that wrongly starts short
+    rc = cli.main(
+        [command, "--cube", str(synth_dir / "cube.hsid"), "--labels",
+         str(synth_dir / "labels.hsil"), flag, setting, *target,
+         "--set", "epochs_stage1=1", "--set", "epochs_stage2=1"]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "run").exists() and not (tmp_path / "report.csv").exists()
+
+
+def test_train_huge_class_id_exit_2_in_small_memory(synth_dir, tmp_path):
+    labels = load_labels(synth_dir / "labels.hsil")
+    ids = labels.labels.copy()
+    ids[0] = 2**31 - 1
+    write_labels(tmp_path / "huge.hsil", LabelMap(labels.height, labels.width, ids))
+    args = ["--cube", str(synth_dir / "cube.hsid"), "--labels", str(tmp_path / "huge.hsil")]
+    # capped at 2 GiB of address space: a check that builds 1..2**31-1 cannot run
+    cap = 2 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdosr", "train", *args, "--unknown", "4",
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [f"error: class 5 of 1..{2**31 - 1} has no pixel"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            pair(load_cube(args[1]), load_labels(args[3]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 def test_train_flag_overrides_config(synth_dir, config_file, tmp_path):
@@ -331,12 +401,57 @@ def _set_value(name, value):
         lambda h, values: h["config"].update(seed=-1),
         lambda h, values: h.update(train_fraction=10**400),
         lambda h, values: h["config"].update(embedding_scale=10**400),
+        # JSON reads NaN and Infinity
+        lambda h, values: h["config"].update(lr=float("nan")),
+        lambda h, values: h["config"].update(embedding_scale=float("inf")),
+        lambda h, values: h.update(train_fraction=float("nan")),
     ],
     ids=["extra-config-key", "no-band-count", "negative-dim", "not-a-triple", "lr-type",
          "no-norm-mean", "norm-mean-shape", "nan-weight", "inf-bias", "zero-std", "nan-mean",
-         "negative-seed", "huge-train-fraction", "huge-embedding-scale"],
+         "negative-seed", "huge-train-fraction", "huge-embedding-scale", "nan-lr",
+         "inf-embedding-scale", "nan-train-fraction"],
 )
 def test_eval_malformed_checkpoint_header_exit_2(synth_dir, trained_dir, tmp_path, edit):
+    proc = _eval_in_subprocess(synth_dir, _edited_checkpoint(trained_dir, tmp_path, edit))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_eval_overflow_exit_3_with_one_line(synth_dir, trained_dir, tmp_path):
+    proc = _eval_in_subprocess(
+        synth_dir, _edited_checkpoint(trained_dir, tmp_path, _set_value("f.0.w", 1e300))
+    )
+    assert proc.returncode == 3
+    # reported at the operation that overflows, not at a later finiteness check
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("numerical failure: overflow encountered in ")
+
+
+def test_train_overflow_exit_3_with_one_line(synth_dir, config_file, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdosr", "train", "--cube", str(synth_dir / "cube.hsid"),
+         "--labels", str(synth_dir / "labels.hsil"), "--unknown", "4", "--config",
+         str(config_file), "--set", "lr=1e300", "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 3
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("numerical failure: overflow encountered in ")
+
+
+def _eval_in_subprocess(synth_dir, model):
+    return subprocess.run(
+        [sys.executable, "-m", "rdosr", "eval", "--model", str(model),
+         "--cube", str(synth_dir / "cube.hsid"), "--labels", str(synth_dir / "labels.hsil")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def _edited_checkpoint(trained_dir, tmp_path, edit):
+    """The trained checkpoint, re-packed after `edit(header, values)`."""
     raw = (trained_dir / "model.rdck").read_bytes()
     magic, version, blob_len = _CKPT_HEADER.unpack_from(raw)
     start = _CKPT_HEADER.size
@@ -351,15 +466,7 @@ def test_eval_malformed_checkpoint_header_exit_2(synth_dir, trained_dir, tmp_pat
     blob = json.dumps(header, sort_keys=True).encode()
     bad = tmp_path / "bad.rdck"
     bad.write_bytes(_CKPT_HEADER.pack(magic, version, len(blob)) + blob + payload.tobytes())
-    proc = subprocess.run(
-        [sys.executable, "-m", "rdosr", "eval", "--model", str(bad),
-         "--cube", str(synth_dir / "cube.hsid"), "--labels", str(synth_dir / "labels.hsil")],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.strip().splitlines()) == 1
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +670,33 @@ def test_module_entry_point_usage_error():
         text=True,
     )
     assert proc.returncode == 2
+
+
+_CONFIG_KEYS = sorted(cli._KEYS)
+_CONFIG_VALUES = st.one_of(
+    st.text(max_size=8), st.integers(-(2**70), 2**70).map(str), st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "1e999", "0x10", "1_000", " 7 ", "True", "rdosr", "image"]),
+)
+_CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(_CONFIG_KEYS), st.sampled_from(["=", " = ", "=="]), _CONFIG_VALUES)
+    .map("".join),
+    st.text(max_size=12),
+    st.builds("{} # {}".format, st.text(max_size=12), st.text(max_size=6)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(text=st.lists(_CONFIG_LINES, max_size=6).map("\n".join))
+def test_fuzzed_config_text_raises_only_cli_errors(text):
+    # the path cmd_train and cmd_sweep take before loading any file
+    try:
+        values = cli.parse_config_text(text)
+        config = cli.build_train_config(values)
+        train_fraction = cli._coerce("train_fraction", values.get("train_fraction", "0.5"), float)
+    except cli.CliError as exc:
+        assert len(str(exc).splitlines()) == 1
+        return
+    assert isinstance(config, models.TrainConfig) and isinstance(train_fraction, float)
 
 
 def test_parse_config_text_rejects_malformed():

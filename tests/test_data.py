@@ -1,10 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdosr.data import (
+    _CUBE_HEADER,
+    _LABEL_HEADER,
     BadMagicError,
     BadVersionError,
     Cube,
+    FormatError,
     HsiDataset,
     LabelMap,
     Normalizer,
@@ -20,7 +27,7 @@ from rdosr.data import (
     write_cube,
     write_labels,
 )
-from rdosr.diffcore import DomainError
+from rdosr.diffcore import DomainError, NumericError
 
 
 def random_cube(rng, h=4, w=5, b=3):
@@ -126,9 +133,62 @@ def test_pair_shares_no_memory_with_the_scene():
 def test_pair_rejects_missing_class():
     rng = np.random.default_rng(7)
     cube = random_cube(rng, h=1, w=4, b=2)
-    labels = LabelMap(height=1, width=4, labels=np.array([1, 1, 3, 3]))
-    with pytest.raises(DomainError, match=r"\[2\]"):
-        pair(cube, labels)
+    # the first gap in the present ids is named
+    for ids, missing in (([1, 1, 3, 3], 2), ([2, 4, 4, 0], 1), ([1, 2, 5, 5], 3)):
+        labels = LabelMap(height=1, width=4, labels=np.array(ids))
+        with pytest.raises(DomainError, match=rf"^class {missing} of 1\.\.{max(ids)} has no pixel$"):
+            pair(cube, labels)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed scene files: loading and pairing raise only the format, domain and
+# numeric errors, and what loads is a consistent dataset
+
+
+@pytest.fixture(scope="module")
+def scene_files(tmp_path_factory):
+    """A clean 3x4 scene of 5 bands and 3 classes, and a scratch directory."""
+    out = tmp_path_factory.mktemp("fuzz")
+    write_cube(out / "clean.hsid", random_cube(np.random.default_rng(8), h=3, w=4, b=5))
+    ids = np.array([1, 2, 3, 0, 1, 2, 3, 0, 3, 2, 1, 1])
+    write_labels(out / "clean.hsil", LabelMap(height=3, width=4, labels=ids))
+    return out
+
+
+@st.composite
+def _mutated_container(draw, raw: bytes, header: struct.Struct):
+    """`raw` truncated, with one byte flipped, or with one prefix field
+    (magic, version or a dimension) replaced."""
+    kind = draw(st.sampled_from(["truncate", "flip", "header"]))
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip":
+        at = draw(st.integers(0, len(raw) - 1))
+        return raw[:at] + bytes([raw[at] ^ draw(st.integers(1, 255))]) + raw[at + 1 :]
+    fields = list(header.unpack_from(raw))
+    i = draw(st.integers(0, len(fields) - 1))
+    if i == 0:
+        fields[0] = draw(st.binary(min_size=4, max_size=4))
+    else:
+        fields[i] = draw(st.integers(0, 16) | st.integers(0, 2**32 - 1))
+    return header.pack(*fields) + raw[header.size :]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_scene_files_raise_only_documented_errors(scene_files, data):
+    paths = {"cube": scene_files / "clean.hsid", "labels": scene_files / "clean.hsil"}
+    target = data.draw(st.sampled_from(sorted(paths)))
+    header = _CUBE_HEADER if target == "cube" else _LABEL_HEADER
+    clean = paths[target].read_bytes()
+    paths[target] = scene_files / f"fuzzed{paths[target].suffix}"
+    paths[target].write_bytes(data.draw(_mutated_container(clean, header)))
+    try:
+        ds = pair(load_cube(paths["cube"]), load_labels(paths["labels"]))
+    except (FormatError, DomainError, NumericError):
+        return
+    assert np.isfinite(ds.pixels).all()
+    assert np.array_equal(np.unique(ds.labels), np.arange(1, ds.class_count + 1))
 
 
 def test_dataset_file_round_trip(tmp_path):

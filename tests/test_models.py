@@ -13,7 +13,6 @@ from rdosr.diffcore import (
     Stack,
     affine,
     grad_check,
-    relu,
 )
 from rdosr.dirichletnet import StickHead
 from rdosr.models import (
@@ -100,6 +99,18 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(DomainError):  # NumPy's generators take no negative seed
         TrainConfig(seed=-1)
+    # every float field is finite; an integer too large for a float is not
+    for bad in (dict(lr=float("nan")), dict(embedding_scale=float("inf")),
+                dict(lambda_r=-float("inf")), dict(stage1_target_accuracy=float("nan")),
+                dict(lambda_s=10**400)):
+        with pytest.raises(DomainError, match=f"^{next(iter(bad))} must be finite$"):
+            TrainConfig(**bad)
+    # each field takes the type of its default; a bool is no number
+    for bad in (dict(lr="fast"), dict(epochs_stage1=2.0), dict(batch_size=True),
+                dict(lr=True), dict(mode=1), dict(seed=None)):
+        with pytest.raises(DomainError, match=f"^{next(iter(bad))} must be of type "):
+            TrainConfig(**bad)
+    assert TrainConfig(lr=1, embedding_scale=10).lr == 1  # a float field takes an int
 
 
 def test_sparsity_decay_schedule_vanishes():
@@ -346,6 +357,7 @@ def test_train_stage1_deterministic_trajectories():
     assert np.array_equal(runs[0], runs[1])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # it diverges on purpose
 def test_train_stage1_aborts_on_divergence():
     rng = np.random.default_rng(3)
     f = build_classifier_f(4, 2, rng, hidden=(4,))
@@ -534,12 +546,13 @@ def test_closed_predict_accuracy_and_tie_break():
     ds = small_dataset(per_class=120)
     cfg = quick_config()
     model, logs, parts = train_pipeline(ds, {4}, cfg, 0.5)
-    acc = float(np.mean(model.closed_predict(parts.train_known.pixels) == parts.train_known.labels))
-    assert acc >= 0.9988
+    _, labels = model.open_score(parts.train_known.pixels, with_labels=True)
+    assert np.array_equal(labels, whole_batch_closed_predict(model, parts.train_known.pixels))
+    assert float(np.mean(labels == parts.train_known.labels)) >= 0.9988
     # tied logits resolve to the lowest class index
     model.f.layers[-1].w.value[...] = 0.0
     model.f.layers[-1].b.value[...] = 0.0
-    assert (model.closed_predict(parts.test_known.pixels[:3]) == 1).all()
+    assert (model.open_score(parts.test_known.pixels[:3], with_labels=True)[1] == 1).all()
 
 
 
@@ -551,7 +564,7 @@ def test_open_score_with_labels_matches_separate_calls(mode, space):
     model, _, _ = train_pipeline(ds, {4}, cfg, 0.5)
     scores, labels = model.open_score(ds.pixels, with_labels=True)
     assert np.array_equal(scores, model.open_score(ds.pixels))
-    assert np.array_equal(labels, model.closed_predict(ds.pixels))
+    assert np.array_equal(labels, whole_batch_closed_predict(model, ds.pixels))
 
 
 def _caches(*networks):
@@ -575,7 +588,7 @@ def test_scoring_keeps_no_backward_cache():
     xn = model.normalizer.apply(probe)
     scorers = (
         lambda: model.open_score(probe),
-        lambda: model.closed_predict(probe),
+        lambda: model.open_score(probe, with_labels=True),
         lambda: embed(f, xn, cfg.embedding_scale),
     )
     # stage 2 left E's and D's caches filled; open_score clears them
@@ -613,7 +626,7 @@ def test_block_scoring_bit_equal_to_one_whole_batch(mode, space):
         scores, labels = model.open_score(x, with_labels=True)
         assert np.array_equal(scores, ref_scores) and np.array_equal(labels, ref_labels), n
         assert np.array_equal(model.open_score(x), whole_batch_open_score(model, x)), n
-        assert np.array_equal(model.closed_predict(x), whole_batch_closed_predict(model, x)), n
+        assert np.array_equal(labels, whole_batch_closed_predict(model, x)), n
 
 
 def test_forward_only_f_bit_equal_to_allocating_relu():
@@ -622,7 +635,7 @@ def test_forward_only_f_bit_equal_to_allocating_relu():
     ref = x
     for layer in f.layers:
         is_relu = isinstance(layer, ActivationLayer)
-        ref = relu(ref) if is_relu else affine(layer.w.value, layer.b.value, ref)
+        ref = np.maximum(ref, 0.0) if is_relu else affine(layer.w.value, layer.b.value, ref)
     assert np.array_equal(bits(f.forward(x, keep=False)), bits(ref))
     assert np.array_equal(bits(f.forward(x)), bits(ref))
 
@@ -635,7 +648,6 @@ def test_scoring_leaves_the_callers_pixels_unchanged(mode, space):
     before = pixels.copy()
     model.open_score(pixels, with_labels=True)
     model.open_score(pixels)
-    model.closed_predict(pixels)
     embed(model.f, pixels, 10.0)
     assert np.array_equal(bits(pixels), bits(before))
 
@@ -667,7 +679,6 @@ def test_scoring_no_rows_gives_empty_outputs_of_the_whole_batch_types():
     for got, ref in [
         (scores, whole_batch_open_score(model, x)),
         (labels, whole_batch_closed_predict(model, x)),
-        (model.closed_predict(x), whole_batch_closed_predict(model, x)),
         (z, whole_batch_embed(model.f, x, 10.0)),
     ]:
         assert got.shape == ref.shape and got.dtype == ref.dtype
@@ -701,13 +712,13 @@ def test_open_score_peak_memory_stays_below_three_widest_activations():
         assert _traced_peak(lambda: model.open_score(pixels)) < _PEAK_BOUND, rows
 
 
-@pytest.mark.parametrize("scorer", ["closed_predict", "embed"])
+@pytest.mark.parametrize("scorer", ["labels", "embed"])
 def test_closed_predict_and_embed_peak_memory_stay_below_three_widest_activations(scorer):
     model = _untrained_model()
     for rows in (4000, 16000):
         pixels = np.random.default_rng(0).normal(size=(rows, model.band_count))
         run = {
-            "closed_predict": lambda: model.closed_predict(pixels),
+            "labels": lambda: model.open_score(pixels, with_labels=True),
             "embed": lambda: embed(model.f, pixels, 10.0),
         }[scorer]
         assert _traced_peak(run) < _PEAK_BOUND, rows

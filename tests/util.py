@@ -78,7 +78,7 @@ def stack_relu_margin(stack: Stack, x: np.ndarray):
     t = x
     for layer in stack.layers:
         nxt = layer.forward(t)
-        if isinstance(layer, ActivationLayer) and layer.kind == "relu":
+        if isinstance(layer, ActivationLayer):
             margin = min(margin, float(np.abs(t).min()))
         t = nxt
     return margin, t
