@@ -84,12 +84,10 @@ def _merge_config(args) -> dict[str, str]:
         values.update(parse_config_text(path.read_text(encoding="utf-8"), str(path)))
     values.update(_key_value(item, "--set") for item in getattr(args, "set", None) or [])
     # explicit flags win over both the file and --set
-    for key in ("cube", "labels", "unknown", "seed"):
+    for key in ("cube", "labels", "unknown", "seed", "train_fraction"):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = str(flag)
-    if getattr(args, "train_fraction", None) is not None:
-        values["train_fraction"] = str(args.train_fraction)
     return values
 
 

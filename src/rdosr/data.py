@@ -137,9 +137,12 @@ def _require_classes_present(dataset: HsiDataset) -> HsiDataset:
 # container io
 
 
-def _read_header(raw: bytes, header: struct.Struct, magic: bytes, path,
-                 version: int = FORMAT_VERSION) -> tuple:
-    """The fields after the magic and the version of a container's prefix."""
+def _read_container(path, header: struct.Struct, magic: bytes,
+                    version: int = FORMAT_VERSION) -> tuple[bytes, tuple]:
+    """A container file's bytes and the fields of its prefix after the
+    magic and the version, both of which it checks."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if len(raw) < header.size:
         raise TruncatedError(f"{path}: file shorter than its header")
     fields = header.unpack_from(raw)
@@ -147,21 +150,30 @@ def _read_header(raw: bytes, header: struct.Struct, magic: bytes, path,
         raise BadMagicError(f"{path}: bad magic {fields[0]!r}, expected {magic!r}")
     if fields[1] != version:
         raise BadVersionError(f"{path}: unsupported version {fields[1]}")
-    return fields[2:]
+    return raw, fields[2:]
+
+
+def _write_container(path, header: struct.Struct, magic: bytes, fields: tuple, *payload,
+                     version: int = FORMAT_VERSION) -> None:
+    """Write the prefix (magic, version, fields), then each payload buffer."""
+    with open(path, "wb") as fh:
+        fh.write(header.pack(magic, version, *fields))
+        for part in payload:
+            fh.write(part)
 
 
 def load_cube(path) -> Cube:
     """Read a cube file; raises a distinct error per format violation."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    h, w, b = _read_header(raw, _CUBE_HEADER, CUBE_MAGIC, path)
+    raw, (h, w, b) = _read_container(path, _CUBE_HEADER, CUBE_MAGIC)
+    if b == 0:
+        raise FormatError(f"{path}: cube has no bands")
     expected = _CUBE_HEADER.size + 4 * h * w * b
     if len(raw) != expected:
         raise TruncatedError(f"{path}: expected {expected} bytes, found {len(raw)}")
     values = np.frombuffer(raw, dtype="<f4", offset=_CUBE_HEADER.size)
     values = values.astype(np.float64).reshape(h * w, b)
     if not np.isfinite(values).all():
-        raise NumericError(f"{path}: cube contains non-finite values")
+        raise FormatError(f"{path}: cube contains non-finite values")
     return Cube(height=h, width=w, band_count=b, values=values)
 
 
@@ -172,19 +184,12 @@ def write_cube(path, cube: Cube) -> None:
             f"cube values shape {values.shape} does not match "
             f"{cube.height}x{cube.width}x{cube.band_count}"
         )
-    with open(path, "wb") as fh:
-        fh.write(
-            _CUBE_HEADER.pack(
-                CUBE_MAGIC, FORMAT_VERSION, cube.height, cube.width, cube.band_count
-            )
-        )
-        fh.write(values.tobytes())
+    _write_container(path, _CUBE_HEADER, CUBE_MAGIC,
+                     (cube.height, cube.width, cube.band_count), values)
 
 
 def load_labels(path) -> LabelMap:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    h, w = _read_header(raw, _LABEL_HEADER, LABEL_MAGIC, path)
+    raw, (h, w) = _read_container(path, _LABEL_HEADER, LABEL_MAGIC)
     expected = _LABEL_HEADER.size + 4 * h * w
     if len(raw) != expected:
         raise TruncatedError(f"{path}: expected {expected} bytes, found {len(raw)}")
@@ -199,9 +204,7 @@ def write_labels(path, labelmap: LabelMap) -> None:
             f"label count {labels.shape} does not match "
             f"{labelmap.height}x{labelmap.width}"
         )
-    with open(path, "wb") as fh:
-        fh.write(_LABEL_HEADER.pack(LABEL_MAGIC, FORMAT_VERSION, labelmap.height, labelmap.width))
-        fh.write(labels.tobytes())
+    _write_container(path, _LABEL_HEADER, LABEL_MAGIC, (labelmap.height, labelmap.width), labels)
 
 
 def pair(cube: Cube, labelmap: LabelMap) -> HsiDataset:
@@ -310,8 +313,7 @@ def split(dataset: HsiDataset, spec: SplitSpec) -> SplitResult:
     rng = np.random.default_rng(spec.seed)
     known_ids = tuple(sorted(all_classes - unknown))
     train_parts, test_parts = [], []
-    train_dense, test_dense = [], []
-    for dense, cls in enumerate(known_ids, start=1):
+    for cls in known_ids:
         idx = dataset.class_indices(cls)
         if idx.size < 2:
             raise DomainError(f"known class {cls} has {idx.size} pixel(s); cannot split")
@@ -321,36 +323,25 @@ def split(dataset: HsiDataset, spec: SplitSpec) -> SplitResult:
             n_train = min(max(n_train, 1), idx.size - 1)
         train_parts.append(perm[:n_train])
         test_parts.append(perm[n_train:])
-        train_dense.append(np.full(n_train, dense, dtype=np.int64))
-        test_dense.append(np.full(idx.size - n_train, dense, dtype=np.int64))
+    # original label -> dense known label 1..L (0 for every other id)
+    dense = np.zeros(dataset.class_count + 1, dtype=np.int64)
+    dense[list(known_ids)] = np.arange(1, len(known_ids) + 1)
 
-    train_idx = np.concatenate(train_parts)
-    test_idx = np.concatenate(test_parts) if test_parts else np.empty(0, dtype=np.int64)
+    def subset(idx: np.ndarray, known: bool) -> HsiDataset:
+        labels = dataset.labels[idx]
+        return HsiDataset(
+            pixels=dataset.pixels[idx],
+            labels=dense[labels] if known else labels,
+            band_count=dataset.band_count,
+            class_count=len(known_ids) if known else dataset.class_count,
+        )
+
+    train_idx, test_idx = np.concatenate(train_parts), np.concatenate(test_parts)
     unknown_idx = np.flatnonzero(np.isin(dataset.labels, sorted(unknown)))
-    l_known = len(known_ids)
-
-    train_known = HsiDataset(
-        pixels=dataset.pixels[train_idx],
-        labels=np.concatenate(train_dense),
-        band_count=dataset.band_count,
-        class_count=l_known,
-    )
-    test_known = HsiDataset(
-        pixels=dataset.pixels[test_idx],
-        labels=np.concatenate(test_dense) if test_dense else np.empty(0, dtype=np.int64),
-        band_count=dataset.band_count,
-        class_count=l_known,
-    )
-    unknown_pool = HsiDataset(
-        pixels=dataset.pixels[unknown_idx],
-        labels=dataset.labels[unknown_idx],
-        band_count=dataset.band_count,
-        class_count=dataset.class_count,
-    )
     return SplitResult(
-        train_known=train_known,
-        test_known=test_known,
-        unknown_pool=unknown_pool,
+        train_known=subset(train_idx, True),
+        test_known=subset(test_idx, True),
+        unknown_pool=subset(unknown_idx, False),
         known_class_ids=known_ids,
         train_indices=train_idx,
         test_indices=test_idx,

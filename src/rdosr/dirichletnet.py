@@ -15,13 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from .diffcore import (
+    AffineLayer,
     DomainError,
     ParamBlock,
     ShapeError,
-    _affine,
-    affine_backward,
     as_matrix,
-    glorot_uniform,
     sigmoid,
     softplus,
 )
@@ -147,38 +145,27 @@ def _entropy_sparsity(s: np.ndarray):
 
 
 class StickHead:
-    """Parallel u/beta affine heads composed into stick proportions."""
+    """Parallel u/beta affine layers composed into stick proportions."""
 
-    def __init__(self, u_w: ParamBlock, u_b: ParamBlock, beta_w: ParamBlock, beta_b: ParamBlock) -> None:
-        if u_w.shape != beta_w.shape or u_b.shape != beta_b.shape:
+    def __init__(self, u: AffineLayer, beta: AffineLayer) -> None:
+        if u.w.shape != beta.w.shape or u.b.shape != beta.b.shape:
             raise ShapeError("u and beta heads must share shapes")
-        self.u_w = u_w
-        self.u_b = u_b
-        self.beta_w = beta_w
-        self.beta_b = beta_b
+        self.u = u
+        self.beta = beta
         self._cache = None
 
     @classmethod
     def create(cls, in_width: int, c: int, rng: np.random.Generator) -> "StickHead":
-        return cls(
-            ParamBlock(glorot_uniform(in_width, c, rng)),
-            ParamBlock(np.zeros((1, c))),
-            ParamBlock(glorot_uniform(in_width, c, rng)),
-            ParamBlock(np.zeros((1, c))),
-        )
-
-    @property
-    def c(self) -> int:
-        return self.u_w.shape[1]
+        # u draws its weights first, then beta
+        return cls(AffineLayer.create(in_width, c, rng), AffineLayer.create(in_width, c, rng))
 
     def forward(self, hidden: np.ndarray, keep: bool = True) -> np.ndarray:
         """Deterministic encoder map hidden -> s (Kumaraswamy, then sticks);
         keep=False keeps no backward cache. `hidden` is a matrix of the
         head's input width; callers validate it."""
-        a_u = _affine(self.u_w.value, self.u_b.value, hidden)
-        sig = sigmoid(a_u)
+        sig = sigmoid(self.u.forward(hidden, keep))
         u = np.clip(sig, U_CLAMP, 1.0 - U_CLAMP)
-        a_b = _affine(self.beta_w.value, self.beta_b.value, hidden)
+        a_b = self.beta.forward(hidden, keep)
         beta_raw = softplus(a_b)
         beta = np.maximum(beta_raw, BETA_FLOOR)
         # u lies in [U_CLAMP, 1 - U_CLAMP] and beta >= BETA_FLOOR > 0, so
@@ -188,29 +175,22 @@ class StickHead:
         v = u**inv_b
         prev = _leftover_before(v)
         s = v * prev
-        self._cache = (hidden, a_b, sig, u, beta_raw, inv_b, v, prev) if keep else None
+        self._cache = (a_b, sig, u, beta_raw, inv_b, v, prev) if keep else None
         return s
 
     def backward(self, d_s: np.ndarray) -> np.ndarray:
-        hidden, a_b, sig, u, beta_raw, inv_b, v, prev = self._cache
+        a_b, sig, u, beta_raw, inv_b, v, prev = self._cache
         d_v = _stick_break_backward(d_s, v, prev)
         d_u, d_beta = _kuma_v_backward(d_v, u, inv_b, v)
         # clamps pass no gradient where they were active
         d_u = np.where((sig > U_CLAMP) & (sig < 1.0 - U_CLAMP), d_u, 0.0)
         d_beta = np.where(beta_raw >= BETA_FLOOR, d_beta, 0.0)
-        d_au = d_u * sig * (1.0 - sig)
-        d_ab = d_beta * sigmoid(a_b)
-        d_uw, d_ub, d_hidden_u = affine_backward(d_au, self.u_w.value, hidden)
-        d_bw, d_bb, d_hidden_b = affine_backward(d_ab, self.beta_w.value, hidden)
-        self.u_w.grad += d_uw
-        self.u_b.grad += d_ub
-        self.beta_w.grad += d_bw
-        self.beta_b.grad += d_bb
-        return d_hidden_u + d_hidden_b
+        d_hidden = self.u.backward(d_u * sig * (1.0 - sig))
+        d_hidden += self.beta.backward(d_beta * sigmoid(a_b))
+        return d_hidden
 
     def params(self) -> list[ParamBlock]:
-        return [self.u_w, self.u_b, self.beta_w, self.beta_b]
+        return self.u.params() + self.beta.params()
 
     def named_params(self, prefix: str) -> list[tuple[str, ParamBlock]]:
-        return [(f"{prefix}.u.w", self.u_w), (f"{prefix}.u.b", self.u_b),
-                (f"{prefix}.beta.w", self.beta_w), (f"{prefix}.beta.b", self.beta_b)]
+        return self.u.named_params(f"{prefix}.u") + self.beta.named_params(f"{prefix}.beta")

@@ -10,7 +10,6 @@ score of a pixel is the Euclidean reconstruction error of its embedding.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 import sys
@@ -25,7 +24,8 @@ from .data import (
     HsiDataset,
     Normalizer,
     SplitSpec,
-    _read_header,
+    _read_container,
+    _write_container,
     split,
 )
 from .diffcore import (
@@ -507,15 +507,17 @@ class RdosrModel:
         return [pair for name, net in nets if net is not None for pair in net.named_params(name)]
 
 
-def _build_networks(config: TrainConfig, band_count: int, n_known: int, rng: np.random.Generator):
-    f = build_classifier_f(band_count, n_known, rng)
-    if config.mode == "softmax":
-        return f, None, None, None
-    e_width = band_count if config.space == "image" else n_known
-    e = build_encoder_e(e_width, rng, dirichlet=config.mode in ("rdosr", "ae_cls_dirichlet"))
-    d = build_decoder_d(e_width, rng)
-    c = build_classifier_c(n_known, rng)
-    return f, e, d, c
+def _build_model(config: TrainConfig, band_count: int, known: tuple, unknown: tuple,
+                 train_fraction: float, normalizer: Normalizer, rng) -> RdosrModel:
+    """The model with fresh networks, drawn from `rng` in the order F, E, D, C."""
+    f = build_classifier_f(band_count, len(known), rng)
+    e = d = c = None
+    if config.mode != "softmax":
+        e_width = band_count if config.space == "image" else len(known)
+        e = build_encoder_e(e_width, rng, dirichlet=config.mode in ("rdosr", "ae_cls_dirichlet"))
+        d = build_decoder_d(e_width, rng)
+        c = build_classifier_c(len(known), rng)
+    return RdosrModel(config, band_count, known, unknown, train_fraction, normalizer, f, e, d, c)
 
 
 def train_pipeline(
@@ -535,24 +537,14 @@ def train_pipeline(
     x_train = normalizer.apply(parts.train_known.pixels)
     labels = parts.train_known.labels
     rng = np.random.default_rng(config.seed)
-    f, e, d, c = _build_networks(config, dataset.band_count, len(parts.known_class_ids), rng)
-    log1 = train_stage1(f, x_train, labels, config, rng)
+    unknown = tuple(sorted(int(u) for u in unknown_classes))
+    model = _build_model(config, dataset.band_count, parts.known_class_ids, unknown,
+                         train_fraction, normalizer, rng)
+    log1 = train_stage1(model.f, x_train, labels, config, rng)
     log2: list[Stage2Record] = []
     if config.mode != "softmax":
-        z = x_train if config.space == "image" else embed(f, x_train, config.embedding_scale)
-        log2 = train_stage2(e, d, c, z, labels, config, rng)
-    model = RdosrModel(
-        config=config,
-        band_count=dataset.band_count,
-        known_class_ids=parts.known_class_ids,
-        unknown_class_ids=tuple(sorted(int(u) for u in unknown_classes)),
-        train_fraction=train_fraction,
-        normalizer=normalizer,
-        f=f,
-        e=e,
-        d=d,
-        c=c,
-    )
+        z = x_train if config.space == "image" else embed(model.f, x_train, config.embedding_scale)
+        log2 = train_stage2(model.e, model.d, model.c, z, labels, config, rng)
     return model, {"stage1": log1, "stage2": log2}, parts
 
 
@@ -579,13 +571,9 @@ def save_checkpoint(path, model: RdosrModel) -> None:
         "arrays": [[name, int(a.shape[0]), int(a.shape[1])] for name, a in arrays],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(_CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)))
-    buf.write(blob)
-    for _, a in arrays:
-        buf.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    _write_container(path, _CKPT_HEADER, CHECKPOINT_MAGIC, (len(blob),), blob,
+                     *(np.ascontiguousarray(a, dtype="<f8") for _, a in arrays),
+                     version=CHECKPOINT_VERSION)
 
 
 _HEADER_KEYS = {"config", "band_count", "known_class_ids", "unknown_class_ids",
@@ -630,9 +618,7 @@ _NO_DRAWS = SimpleNamespace(uniform=lambda low, high, size: np.empty(size))
 
 
 def load_checkpoint(path) -> RdosrModel:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    (blob_len,) = _read_header(raw, _CKPT_HEADER, CHECKPOINT_MAGIC, path, CHECKPOINT_VERSION)
+    raw, (blob_len,) = _read_container(path, _CKPT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     offset = _CKPT_HEADER.size
     try:
         header = json.loads(raw[offset : offset + blob_len].decode("utf-8"))
@@ -662,20 +648,15 @@ def load_checkpoint(path) -> RdosrModel:
     if not (values["norm.std"] > 0.0).all():
         raise FormatError(f"{path}: norm.std must be positive")
 
-    known = tuple(int(c) for c in header["known_class_ids"])
     mean, std = (values[k].ravel().astype(np.float64) for k in ("norm.mean", "norm.std"))
-    f, e, d, c = _build_networks(config, int(header["band_count"]), len(known), _NO_DRAWS)
-    model = RdosrModel(
-        config=config,
-        band_count=int(header["band_count"]),
-        known_class_ids=known,
-        unknown_class_ids=tuple(int(u) for u in header["unknown_class_ids"]),
-        train_fraction=float(header["train_fraction"]),
-        normalizer=Normalizer(mean=mean, std=std),
-        f=f,
-        e=e,
-        d=d,
-        c=c,
+    model = _build_model(
+        config,
+        header["band_count"],
+        tuple(header["known_class_ids"]),
+        tuple(header["unknown_class_ids"]),
+        float(header["train_fraction"]),
+        Normalizer(mean=mean, std=std),
+        _NO_DRAWS,
     )
     named = dict(model.named_params())
     stored = {name for name, _, _ in header["arrays"]} - {"norm.mean", "norm.std"}

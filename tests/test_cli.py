@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from rdosr import cli, models
 from rdosr.data import (
+    Cube,
     FormatError,
     LabelMap,
     SplitSpec,
@@ -21,6 +22,7 @@ from rdosr.data import (
     load_labels,
     pair,
     split,
+    write_cube,
     write_labels,
 )
 from rdosr.diffcore import DomainError
@@ -273,6 +275,46 @@ def test_train_bad_cube_path_exit_2(tmp_path, capsys):
          "--unknown", "1", "--out", str(tmp_path)]
     )
     assert rc == 2
+
+
+def test_train_zero_band_cube_exit_2(synth_dir, tmp_path, capsys):
+    # the synthetic labels are a 1x600 map; a cube of the same size with no
+    # bands would train a model on nothing
+    cube = tmp_path / "empty.hsid"
+    write_cube(cube, Cube(height=1, width=600, band_count=0, values=np.empty((600, 0))))
+    with pytest.raises(FormatError, match="no bands"):
+        load_cube(cube)
+    rc = cli.main(
+        ["train", "--cube", str(cube), "--labels", str(synth_dir / "labels.hsil"),
+         "--unknown", "4", "--set", "epochs_stage1=2", "--set", "epochs_stage2=2",
+         "--out", str(tmp_path / "run")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {cube}: cube has no bands"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value, labelled", [(np.nan, True), (np.inf, False)],
+                         ids=["nan-labelled", "inf-unlabelled"])
+def test_non_finite_cube_exit_2(synth_dir, trained_dir, tmp_path, capsys, value, labelled):
+    scene = load_cube(synth_dir / "cube.hsid")
+    scene.values[7, 3] = value
+    cube, labels = tmp_path / "bad.hsid", tmp_path / "labels.hsil"
+    write_cube(cube, scene)
+    labelmap = load_labels(synth_dir / "labels.hsil")
+    if not labelled:  # pair() drops an unlabeled pixel before any check sees it
+        labelmap.labels[7] = 0
+    write_labels(labels, labelmap)
+    with pytest.raises(FormatError, match="non-finite"):
+        load_cube(cube)
+    common = ["--cube", str(cube), "--labels", str(labels)]
+    for argv in (["train", *common, "--unknown", "4", "--set", "epochs_stage1=2",
+                  "--set", "epochs_stage2=2", "--out", str(tmp_path / "run")],
+                 ["eval", "--model", str(trained_dir), *common]):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"error: {cube}: cube contains non-finite values"]
 
 
 # ---------------------------------------------------------------------------

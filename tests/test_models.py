@@ -20,9 +20,8 @@ from rdosr.models import (
     MODES,
     SCORE_BLOCK,
     SPACES,
-    RdosrModel,
     TrainConfig,
-    _build_networks,
+    _build_model,
     _row_blocks,
     build_classifier_c,
     build_classifier_f,
@@ -142,8 +141,8 @@ def test_encoder_decoder_classifier_node_counts():
     e = build_encoder_e(9, rng, dirichlet=True)
     trunk_widths = [layer.w.shape for layer in e.layers[0].layers[::2]]
     assert trunk_widths == [(9, 3), (3, 3), (3, 3), (3, 3)]
-    assert e.layers[1].u_w.shape == (3, 10)
-    assert e.layers[1].beta_w.shape == (3, 10)
+    assert e.layers[1].u.w.shape == (3, 10)
+    assert e.layers[1].beta.w.shape == (3, 10)
     d = build_decoder_d(9, rng)
     assert [l.w.shape for l in d.layers if hasattr(l, "w")] == [(10, 10), (10, 9)]
     c = build_classifier_c(9, rng)
@@ -375,11 +374,9 @@ def test_train_stage2_reduces_reconstruction_tenfold():
     z = embed(model.f, xn, cfg.embedding_scale)
     y = one_hot(parts.train_known.labels, model.n_known)
     _, (recon_after, _, _) = stage2_loss(model.e, model.d, model.c, z, y, 0.5, 0.0, 0.5)
-    rng = np.random.default_rng(cfg.seed)
-    from rdosr.models import _build_networks
-
-    f2, e2, d2, c2 = _build_networks(cfg, ds.band_count, model.n_known, rng)
-    _, (recon_before, _, _) = stage2_loss(e2, d2, c2, z, y, 0.5, 0.0, 0.5)
+    fresh = _build_model(cfg, ds.band_count, model.known_class_ids, model.unknown_class_ids,
+                         0.5, model.normalizer, np.random.default_rng(cfg.seed))
+    _, (recon_before, _, _) = stage2_loss(fresh.e, fresh.d, fresh.c, z, y, 0.5, 0.0, 0.5)
     assert recon_after * 10.0 <= recon_before
 
 
@@ -576,6 +573,8 @@ def _caches(*networks):
             caches += _caches(l)
         else:
             caches += [getattr(l, a) for a in ("_x", "_y", "_cache") if hasattr(l, a)]
+            if isinstance(l, StickHead):  # its two affine layers cache their input
+                caches += _caches(Stack([l.u, l.beta]))
     return caches
 
 
@@ -605,9 +604,8 @@ def _untrained_model(mode="rdosr", space="embedding", bands=64, n_known=5, seed=
     config = TrainConfig(mode=mode, space=space)
     rng = np.random.default_rng(seed)
     normalizer = Normalizer(mean=rng.normal(size=bands), std=rng.uniform(0.5, 2.0, size=bands))
-    return RdosrModel(
-        config, bands, tuple(range(1, n_known + 1)), (n_known + 1,), 0.5, normalizer,
-        *_build_networks(config, bands, n_known, rng),
+    return _build_model(
+        config, bands, tuple(range(1, n_known + 1)), (n_known + 1,), 0.5, normalizer, rng
     )
 
 

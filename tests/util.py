@@ -243,10 +243,10 @@ class ReferenceStickHead(StickHead):
     shipped head must match it bit for bit."""
 
     def forward(self, hidden, keep=True):
-        a_u = affine(self.u_w.value, self.u_b.value, hidden)
+        a_u = affine(self.u.w.value, self.u.b.value, hidden)
         sig = sigmoid_split(a_u)
         u = np.clip(sig, U_CLAMP, 1.0 - U_CLAMP)
-        a_b = affine(self.beta_w.value, self.beta_b.value, hidden)
+        a_b = affine(self.beta.w.value, self.beta.b.value, hidden)
         beta_raw = softplus(a_b)
         beta = np.maximum(beta_raw, BETA_FLOOR)
         v = kuma_v(u, beta)
@@ -262,12 +262,12 @@ class ReferenceStickHead(StickHead):
         d_beta = np.where(beta_raw >= BETA_FLOOR, d_beta, 0.0)
         d_au = d_u * sig * (1.0 - sig)
         d_ab = d_beta * sigmoid_split(a_b)
-        d_uw, d_ub, d_hidden_u = affine_backward(d_au, self.u_w.value, hidden)
-        d_bw, d_bb, d_hidden_b = affine_backward(d_ab, self.beta_w.value, hidden)
-        self.u_w.grad += d_uw
-        self.u_b.grad += d_ub
-        self.beta_w.grad += d_bw
-        self.beta_b.grad += d_bb
+        d_uw, d_ub, d_hidden_u = affine_backward(d_au, self.u.w.value, hidden)
+        d_bw, d_bb, d_hidden_b = affine_backward(d_ab, self.beta.w.value, hidden)
+        self.u.w.grad += d_uw
+        self.u.b.grad += d_ub
+        self.beta.w.grad += d_bw
+        self.beta.b.grad += d_bb
         return d_hidden_u + d_hidden_b
 
 
