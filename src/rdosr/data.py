@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import DomainError, NumericError, ShapeError
+from .diffcore import DomainError, ShapeError
 
 __all__ = [
     "CUBE_MAGIC",
@@ -89,7 +89,8 @@ class LabelMap:
 
 @dataclass(frozen=True)
 class HsiDataset:
-    """Labeled pixels only: spectra, integer labels 1..class_count."""
+    """Labeled pixels only: spectra, integer labels 1..class_count. Checks
+    shapes and labels; load_cube and train_pipeline check the pixels."""
 
     pixels: np.ndarray  # (N, B) float64
     labels: np.ndarray  # (N,) int64
@@ -105,8 +106,6 @@ class HsiDataset:
             raise ShapeError(
                 f"labels shape {self.labels.shape} does not match pixel count {self.pixels.shape[0]}"
             )
-        if not np.isfinite(self.pixels).all():
-            raise NumericError("pixel values must be finite")
         if self.labels.size and (
             self.labels.min() < 0 or self.labels.max() > self.class_count
         ):
@@ -121,16 +120,6 @@ class HsiDataset:
 
     def class_indices(self, cls: int) -> np.ndarray:
         return np.flatnonzero(self.labels == cls)
-
-
-def _require_classes_present(dataset: HsiDataset) -> HsiDataset:
-    present = np.unique(dataset.labels[dataset.labels > 0])
-    # the labels lie in 0..class_count, so a class is missing exactly when
-    # fewer distinct ones are present; the first gap in the sorted ids names it
-    if present.size != dataset.class_count:
-        missing = int((present == np.arange(1, present.size + 1)).sum()) + 1
-        raise DomainError(f"class {missing} of 1..{dataset.class_count} has no pixel")
-    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +209,19 @@ def pair(cube: Cube, labelmap: LabelMap) -> HsiDataset:
     if not mask.any():
         raise DomainError("label map has no labeled pixels")
     labels = labelmap.labels[mask]  # boolean indexing copies, as cube.values[mask] does
-    dataset = HsiDataset(
+    class_count = int(labels.max())
+    present = np.unique(labels)
+    # the labels lie in 1..class_count, so a class is missing exactly when
+    # fewer distinct ones are present; the first gap in the sorted ids names it
+    if present.size != class_count:
+        missing = int((present == np.arange(1, present.size + 1)).sum()) + 1
+        raise DomainError(f"class {missing} of 1..{class_count} has no pixel")
+    return HsiDataset(
         pixels=cube.values[mask],
         labels=labels,
         band_count=cube.band_count,
-        class_count=int(labels.max()),
+        class_count=class_count,
     )
-    return _require_classes_present(dataset)
 
 
 def dataset_to_files(cube_path, label_path, dataset: HsiDataset) -> None:
@@ -411,7 +406,6 @@ def synth_generate(
         labels[lo : lo + per_class] = cls
 
     pixels = pixels.astype(np.float32).astype(np.float64)
-    dataset = HsiDataset(
+    return HsiDataset(
         pixels=pixels, labels=labels, band_count=bands, class_count=l_total
     )
-    return _require_classes_present(dataset)

@@ -96,6 +96,10 @@ class ParamBlock:
 # each pass in cache, where whole-buffer passes over F's 1.1 M parameters
 # would stream every array from memory a dozen times per step.
 ADAM_CHUNK = 1 << 14
+# Adam's moment decay rates and its denominator guard: the published defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class Adam:
@@ -111,18 +115,8 @@ class Adam:
     the flat buffer.
     """
 
-    def __init__(
-        self,
-        params: Sequence[ParamBlock],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> None:
+    def __init__(self, params: Sequence[ParamBlock], lr: float = 1e-3) -> None:
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
         self.step_count = 0
         params = list(params)
         total = sum(p.value.size for p in params)
@@ -149,7 +143,7 @@ class Adam:
         """One update of every parameter; the gradient is consumed and zeroed."""
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1, c2 = 1.0 - b1**t, 1.0 - b2**t
         for start in range(0, self.value.size, ADAM_CHUNK):
             sl = slice(start, start + ADAM_CHUNK)
@@ -168,7 +162,7 @@ class Adam:
             v += tmp
             np.divide(v, c2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += self.epsilon
+            tmp += ADAM_EPSILON
             np.divide(m, c1, out=upd)
             upd *= self.lr
             upd /= tmp

@@ -42,6 +42,7 @@ from .diffcore import (
     _l2_recon_mean,
     _softmax_xent,
     as_matrix,
+    require_finite,
     softmax,
 )
 from .dirichletnet import StickHead, _entropy_sparsity
@@ -528,10 +529,11 @@ def train_pipeline(
 ):
     """Full protocol on one known/unknown partition.
 
-    Splits, fits normalization on the known training pixels only, trains
-    stage 1, freezes it, embeds, trains stage 2. Returns (model, logs, parts)
-    where logs is {"stage1": [...], "stage2": [...]}.
+    Checks the pixels are finite, splits, fits normalization on the known
+    training pixels only, trains stage 1, freezes it, embeds, trains stage 2.
+    Returns (model, logs, parts) where logs is {"stage1": [...], "stage2": [...]}.
     """
+    require_finite(dataset.pixels, "dataset pixels")
     parts = split(dataset, SplitSpec(frozenset(unknown_classes), train_fraction, config.seed))
     normalizer = Normalizer.fit(parts.train_known.pixels)
     x_train = normalizer.apply(parts.train_known.pixels)
@@ -556,19 +558,24 @@ CHECKPOINT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sII")
 
 
-def save_checkpoint(path, model: RdosrModel) -> None:
-    """Write the model as a versioned binary container (bit-exact round trip)."""
-    named = model.named_params()
+def _checkpoint_arrays(model: RdosrModel) -> list[tuple[str, np.ndarray]]:
+    """The arrays a checkpoint holds, in file order: the normalizer's mean
+    and std as (1, B) views, then every parameter."""
     arrays = [("norm.mean", model.normalizer.mean.reshape(1, -1)),
               ("norm.std", model.normalizer.std.reshape(1, -1))]
-    arrays += [(name, p.value) for name, p in named]
+    return arrays + [(name, p.value) for name, p in model.named_params()]
+
+
+def save_checkpoint(path, model: RdosrModel) -> None:
+    """Write the model as a versioned binary container (bit-exact round trip)."""
+    arrays = _checkpoint_arrays(model)
     header = {
         "config": asdict(model.config),
         "band_count": model.band_count,
         "known_class_ids": list(model.known_class_ids),
         "unknown_class_ids": list(model.unknown_class_ids),
         "train_fraction": model.train_fraction,
-        "arrays": [[name, int(a.shape[0]), int(a.shape[1])] for name, a in arrays],
+        "arrays": [[name, *a.shape] for name, a in arrays],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     _write_container(path, _CKPT_HEADER, CHECKPOINT_MAGIC, (len(blob),), blob,
@@ -589,9 +596,9 @@ def _is(x, *kinds: type) -> bool:
 
 
 def _check_header(path, header) -> None:
-    """Raise FormatError unless the header has the keys, types and
-    non-negative dimensions that save_checkpoint writes; TrainConfig checks
-    the config values."""
+    """Raise FormatError unless the header has the keys and types that
+    save_checkpoint writes; TrainConfig checks the config values, and
+    load_checkpoint the array table."""
     if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
         raise FormatError(f"{path}: checkpoint header keys must be {sorted(_HEADER_KEYS)}")
     config = header["config"]
@@ -604,13 +611,6 @@ def _check_header(path, header) -> None:
             raise FormatError(f"{path}: {key} must be a list of integers")
     if not _is(header["train_fraction"], int, float):
         raise FormatError(f"{path}: train_fraction must be a number")
-    arrays = header["arrays"]
-    if not isinstance(arrays, list) or not all(
-        isinstance(a, list) and len(a) == 3 and isinstance(a[0], str)
-        and _is(a[1], int) and _is(a[2], int) and a[1] >= 0 and a[2] >= 0
-        for a in arrays
-    ):
-        raise FormatError(f"{path}: arrays must be [name, rows, cols] with rows, cols >= 0")
 
 
 # the loader's generator: a stored array overwrites every weight it "draws"
@@ -628,44 +628,31 @@ def load_checkpoint(path) -> RdosrModel:
     _check_header(path, header)
 
     config = TrainConfig(**header["config"])
-    values: dict[str, np.ndarray] = {}
-    for name, rows, cols in header["arrays"]:
-        nbytes = 8 * rows * cols
-        if offset + nbytes > len(raw):
-            raise TruncatedError(f"{path}: array {name} extends past end of file")
-        # a read-only view of the file: each array is copied once, below
-        values[name] = np.frombuffer(raw, "<f8", rows * cols, offset).reshape(rows, cols)
-        if not np.isfinite(values[name]).all():
-            raise FormatError(f"{path}: array {name} holds a non-finite value")
-        offset += nbytes
-    if offset != len(raw):
-        raise TruncatedError(f"{path}: {len(raw) - offset} trailing bytes")
-    if len(values) != len(header["arrays"]) or not {"norm.mean", "norm.std"} <= values.keys():
-        raise FormatError(f"{path}: repeated array names or missing normalizer arrays")
-    norm_shape = (1, header["band_count"])
-    if values["norm.mean"].shape != norm_shape or values["norm.std"].shape != norm_shape:
-        raise FormatError(f"{path}: normalizer arrays must have shape {norm_shape}")
-    if not (values["norm.std"] > 0.0).all():
-        raise FormatError(f"{path}: norm.std must be positive")
-
-    mean, std = (values[k].ravel().astype(np.float64) for k in ("norm.mean", "norm.std"))
+    bands, known = header["band_count"], tuple(header["known_class_ids"])
+    # F's input and output weights outgrow every other array that scales with
+    # the header's counts: a header claiming more than the file holds is
+    # refused before the model is built
+    if 8 * (bands * F_HIDDEN[0] + len(known) * F_HIDDEN[-1]) > len(raw) - offset:
+        raise TruncatedError(f"{path}: payload too small for {bands} bands, {len(known)} classes")
     model = _build_model(
         config,
-        header["band_count"],
-        tuple(header["known_class_ids"]),
+        bands,
+        known,
         tuple(header["unknown_class_ids"]),
         float(header["train_fraction"]),
-        Normalizer(mean=mean, std=std),
+        Normalizer(mean=np.empty(bands), std=np.empty(bands)),
         _NO_DRAWS,
     )
-    named = dict(model.named_params())
-    stored = {name for name, _, _ in header["arrays"]} - {"norm.mean", "norm.std"}
-    if stored != set(named):
-        raise FormatError(f"{path}: parameter names do not match the architecture")
-    for name, block in named.items():
-        if values[name].shape != block.shape:
-            raise FormatError(
-                f"{path}: array {name} has shape {values[name].shape}, expected {block.shape}"
-            )
-        block.value[...] = values[name]
+    arrays = _checkpoint_arrays(model)
+    if header["arrays"] != [[name, *a.shape] for name, a in arrays]:
+        raise FormatError(f"{path}: array table does not match the architecture")
+    if offset + 8 * sum(a.size for _, a in arrays) != len(raw):
+        raise TruncatedError(f"{path}: payload size does not match the array table")
+    for name, a in arrays:
+        a[...] = np.frombuffer(raw, "<f8", a.size, offset).reshape(a.shape)
+        if not np.isfinite(a).all():
+            raise FormatError(f"{path}: array {name} holds a non-finite value")
+        offset += 8 * a.size
+    if not (model.normalizer.std > 0.0).all():
+        raise FormatError(f"{path}: norm.std must be positive")
     return model

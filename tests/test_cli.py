@@ -419,6 +419,22 @@ def _fold_norm_mean(h, values):
     entry[1], entry[2] = 2, entry[2] // 2
 
 
+def _swap_norm_arrays(h, values):
+    # the table entries trade places with their data: each name keeps its values
+    h["arrays"][0], h["arrays"][1] = h["arrays"][1], h["arrays"][0]
+    mean = values["norm.mean"].copy()
+    values["norm.mean"][:] = values["norm.std"]
+    values["norm.std"][:] = mean
+
+
+def _huge_band_count(h, values):
+    # the normalizer arrays match the claimed bands; F's first weight for
+    # them would take 3.8 GiB
+    bands = 10**6
+    h["band_count"] = h["arrays"][0][2] = h["arrays"][1][2] = bands
+    values["norm.mean"], values["norm.std"] = np.zeros(bands), np.ones(bands)
+
+
 def _set_value(name, value):
     def edit(h, values):
         values[name][0] = value
@@ -447,11 +463,15 @@ def _set_value(name, value):
         lambda h, values: h["config"].update(lr=float("nan")),
         lambda h, values: h["config"].update(embedding_scale=float("inf")),
         lambda h, values: h.update(train_fraction=float("nan")),
+        _swap_norm_arrays,
+        lambda h, values: h["arrays"][1].__setitem__(0, "norm.mean"),
+        _huge_band_count,
     ],
     ids=["extra-config-key", "no-band-count", "negative-dim", "not-a-triple", "lr-type",
          "no-norm-mean", "norm-mean-shape", "nan-weight", "inf-bias", "zero-std", "nan-mean",
          "negative-seed", "huge-train-fraction", "huge-embedding-scale", "nan-lr",
-         "inf-embedding-scale", "nan-train-fraction"],
+         "inf-embedding-scale", "nan-train-fraction", "reordered-arrays", "duplicate-array",
+         "huge-band-count"],
 )
 def test_eval_malformed_checkpoint_header_exit_2(synth_dir, trained_dir, tmp_path, edit):
     proc = _eval_in_subprocess(synth_dir, _edited_checkpoint(trained_dir, tmp_path, edit))
@@ -483,17 +503,21 @@ def test_train_overflow_exit_3_with_one_line(synth_dir, config_file, tmp_path):
 
 
 def _eval_in_subprocess(synth_dir, model):
+    # capped at 2 GiB of address space: a model a header only claims cannot be built
+    cap = 2 << 30
     return subprocess.run(
         [sys.executable, "-m", "rdosr", "eval", "--model", str(model),
          "--cube", str(synth_dir / "cube.hsid"), "--labels", str(synth_dir / "labels.hsil")],
         capture_output=True,
         text=True,
         timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
 
 
 def _edited_checkpoint(trained_dir, tmp_path, edit):
-    """The trained checkpoint, re-packed after `edit(header, values)`."""
+    """The trained checkpoint, re-packed after `edit(header, values)`; the
+    payload is `values` in their original order, so an edit may replace one."""
     raw = (trained_dir / "model.rdck").read_bytes()
     magic, version, blob_len = _CKPT_HEADER.unpack_from(raw)
     start = _CKPT_HEADER.size
@@ -505,6 +529,7 @@ def _edited_checkpoint(trained_dir, tmp_path, edit):
         values[name] = payload[offset : offset + rows * cols]
         offset += rows * cols
     edit(header, values)
+    payload = np.concatenate(list(values.values()))
     blob = json.dumps(header, sort_keys=True).encode()
     bad = tmp_path / "bad.rdck"
     bad.write_bytes(_CKPT_HEADER.pack(magic, version, len(blob)) + blob + payload.tobytes())

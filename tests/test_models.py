@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -364,6 +365,16 @@ def test_train_stage1_aborts_on_divergence():
     x[0, 0] = np.inf  # inf - inf inside the stack turns the loss into nan
     with pytest.raises(NumericError, match="stage 1"):
         train_stage1(f, x, np.ones(8, dtype=np.int64), TrainConfig(epochs_stage1=3), rng)
+
+
+def test_train_pipeline_rejects_non_finite_pixels_before_stage_1(monkeypatch):
+    # a dataset built in memory is checked where it enters training
+    ds = small_dataset()
+    pixels = ds.pixels.copy()
+    pixels[7, 3] = np.nan
+    monkeypatch.setattr("rdosr.models.train_stage1", lambda *args: pytest.fail("stage 1 ran"))
+    with pytest.raises(NumericError, match="dataset pixels contains non-finite entries"):
+        train_pipeline(replace(ds, pixels=pixels), {4}, quick_config())
 
 
 def test_train_stage2_reduces_reconstruction_tenfold():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,16 @@ def test_sweep_parallel_matches_sequential():
     seq = sweep(ds, cfg, train_fraction=0.5, jobs=1)
     par = sweep(ds, cfg, train_fraction=0.5, jobs=2)
     assert [r.auc for r in par.rows] == [r.auc for r in seq.rows]
+
+
+def test_sweep_of_non_finite_pixels_fails_every_row():
+    ds, cfg = tiny_sweep_setup()
+    pixels = ds.pixels.copy()
+    pixels[0, 0] = np.inf
+    report = sweep(replace(ds, pixels=pixels), cfg, jobs=1)
+    assert report.failed == report.rows
+    for row in report.rows:
+        assert row.error == f"class {row.unknown_class}: dataset pixels contains non-finite entries"
 
 
 def test_sweep_propagates_class_annotation_on_failure(monkeypatch):
