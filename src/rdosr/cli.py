@@ -4,7 +4,7 @@ leave-one-class-out sweep.
 Hyperparameters come from a key=value config file (# starts a comment);
 recognized keys are the TrainConfig fields plus cube, labels, unknown, and
 train_fraction. Flags override file values. Exit codes: 0 success, 2
-usage/IO problem, 3 numerical failure, 4 sweep with failed runs.
+usage/IO problem, 3 numerical failure, 4 sweep with failed runs, 130 Ctrl-C.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_PARTIAL = 4
+EXIT_INTERRUPTED = 130
 
 CHECKPOINT_NAME = "model.rdck"
 MANIFEST_NAME = "manifest.txt"
@@ -77,12 +78,13 @@ def build_train_config(values: dict[str, str]) -> models.TrainConfig:
 
 def _merge_config(args) -> dict[str, str]:
     values: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
-        if not path.is_file():
-            raise CliError(f"config file not found: {path}")
-        values.update(parse_config_text(path.read_text(encoding="utf-8"), str(path)))
-    values.update(_key_value(item, "--set") for item in getattr(args, "set", None) or [])
+        try:
+            values.update(parse_config_text(path.read_text(encoding="utf-8"), str(path)))
+        except UnicodeDecodeError as exc:
+            raise CliError(f"config file {path} is not UTF-8: {exc}") from exc
+    values.update(_key_value(item, "--set") for item in args.set or [])
     # explicit flags win over both the file and --set
     for key in ("cube", "labels", "unknown", "seed", "train_fraction"):
         flag = getattr(args, key, None)
@@ -207,18 +209,16 @@ def _resolve_model_path(raw: str) -> Path:
 def cmd_eval(args) -> int:
     model = models.load_checkpoint(_resolve_model_path(args.model))
     dataset, _, _ = _load_dataset({"cube": args.cube, "labels": args.labels})
-    trained_on = set(model.known_class_ids) | set(model.unknown_class_ids)
-    if trained_on != set(range(1, dataset.class_count + 1)):
-        raise CliError(
-            f"model was trained on classes {sorted(trained_on)} but the dataset "
-            f"has classes 1..{dataset.class_count}"
-        )
     parts = data.split(
         dataset,
         data.SplitSpec(
             frozenset(model.unknown_class_ids), model.train_fraction, model.config.seed
         ),
     )
+    # split chose the model's known classes at training time, from the same ids
+    if parts.known_class_ids != model.known_class_ids:
+        raise CliError(f"model knows classes {list(model.known_class_ids)}, but holding out "
+                       f"{list(model.unknown_class_ids)} leaves {list(parts.known_class_ids)}")
     known_scores, predictions = model.open_score(parts.test_known.pixels, with_labels=True)
     unknown_scores = model.open_score(parts.unknown_pool.pixels)
     curve = openset.roc(known_scores, unknown_scores)
@@ -230,12 +230,9 @@ def cmd_eval(args) -> int:
     if args.roc_out:
         openset.export_roc(args.roc_out, curve)
     if args.hist_out:
-        scores = np.concatenate([known_scores, unknown_scores])
-        lo = min(0.0, float(scores.min()))
-        hi = float(scores.max())
-        if hi <= lo:
-            hi = lo + 1.0
-        openset.export_histogram(args.hist_out, known_scores, unknown_scores, args.bins, lo, hi)
+        # every score is a norm or one minus a probability, so none is negative
+        hi = max(float(known_scores.max()), float(unknown_scores.max())) or 1.0
+        openset.export_histogram(args.hist_out, known_scores, unknown_scores, args.bins, 0.0, hi)
     return EXIT_OK
 
 
@@ -262,6 +259,13 @@ def make_parser() -> argparse.ArgumentParser:
         description="Open-set land-cover pixel classification via reconstruction error.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--cube")
+    shared.add_argument("--labels")
+    shared.add_argument("--config", help="key=value config file")
+    shared.add_argument("--seed", type=int)
+    shared.add_argument("--train-fraction", type=float, dest="train_fraction")
+    shared.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
 
     p = sub.add_parser("synth", help="generate a synthetic linear-mixing dataset")
     p.add_argument("--out", required=True, help="output directory for cube.hsid/labels.hsil")
@@ -274,15 +278,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-sigma", type=float, default=0.01, dest="noise_sigma")
     p.set_defaults(handler=cmd_synth)
 
-    p = sub.add_parser("train", help="train both stages on one known/unknown partition")
-    p.add_argument("--cube")
-    p.add_argument("--labels")
+    p = sub.add_parser("train", parents=[shared], help="train both stages on one known/unknown partition")
     p.add_argument("--unknown", help="comma-separated unknown class ids")
-    p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", required=True, help="output directory for checkpoint + manifest")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train-fraction", type=float, dest="train_fraction")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("eval", help="score a trained model and export curves")
@@ -294,15 +292,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=50)
     p.set_defaults(handler=cmd_eval)
 
-    p = sub.add_parser("sweep", help="leave-one-class-out protocol over every class")
-    p.add_argument("--cube")
-    p.add_argument("--labels")
-    p.add_argument("--config")
+    p = sub.add_parser("sweep", parents=[shared], help="leave-one-class-out protocol over every class")
     p.add_argument("--report", required=True, help="output CSV path")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train-fraction", type=float, dest="train_fraction")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(handler=cmd_sweep)
     return parser
 
@@ -321,6 +313,9 @@ def main(argv=None) -> int:
     except (NumericError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entry() -> None:

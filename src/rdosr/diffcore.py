@@ -344,9 +344,6 @@ class AffineLayer:
         self.b.grad += d_b
         return d_x
 
-    def params(self) -> list[ParamBlock]:
-        return [self.w, self.b]
-
     def named_params(self, prefix: str) -> list[tuple[str, ParamBlock]]:
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
 
@@ -367,7 +364,7 @@ class ActivationLayer:
         # a bool mask; multiplying by it equals multiplying by its 0.0/1.0 floats
         return d_out * (self._x > 0.0)
 
-    def params(self) -> list[ParamBlock]:
+    def named_params(self, prefix: str) -> list[tuple[str, ParamBlock]]:
         return []
 
 
@@ -390,14 +387,11 @@ class Stack:
         return d_out
 
     def params(self) -> list[ParamBlock]:
-        out: list[ParamBlock] = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
+        return [p for _, p in self.named_params("")]
 
     def named_params(self, prefix: str) -> list[tuple[str, ParamBlock]]:
         # `prefix.i.*` for the i-th layer that holds parameters
-        held = [layer for layer in self.layers if layer.params()]
+        held = [layer for layer in self.layers if layer.named_params("")]
         return [p for i, layer in enumerate(held) for p in layer.named_params(f"{prefix}.{i}")]
 
 

@@ -190,7 +190,7 @@ class StickHead:
         return d_hidden
 
     def params(self) -> list[ParamBlock]:
-        return self.u.params() + self.beta.params()
+        return [p for _, p in self.named_params("")]
 
     def named_params(self, prefix: str) -> list[tuple[str, ParamBlock]]:
         return self.u.named_params(f"{prefix}.u") + self.beta.named_params(f"{prefix}.beta")

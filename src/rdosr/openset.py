@@ -11,6 +11,7 @@ import ctypes
 import glob
 import math
 import os
+import signal
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -162,9 +163,18 @@ def sweep(
         initializer=_set_blas_threads,
         initargs=(max(1, _usable_cpus() // workers),),
     )
+    # workers fork with SIGINT blocked: Ctrl-C reaches this process alone, which ends them
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT] if workers > 1 else [])
     with pool:
-        futures = [pool.submit(_sweep_one, dataset, config, train_fraction, c) for c in classes]
-        rows = tuple(_row(cls, fut) for cls, fut in zip(classes, futures))
+        try:
+            futures = [pool.submit(_sweep_one, dataset, config, train_fraction, c) for c in classes]
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            rows = tuple(_row(cls, fut) for cls, fut in zip(classes, futures))
+        except BaseException:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for proc in list(getattr(pool, "_processes", {}).values()):
+                proc.terminate()
+            raise
     aucs = [r.auc for r in rows if r.auc is not None]
     average = float(np.mean(aucs)) if aucs else float("nan")
     l_total = dataset.class_count

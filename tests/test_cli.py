@@ -2,8 +2,10 @@ import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -208,6 +210,22 @@ def test_bad_config_value_exit_2(synth_dir, tmp_path, capsys, command, flag, set
     assert not (tmp_path / "run").exists() and not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_config_file_not_utf8_exit_2(synth_dir, tmp_path, capsys, command):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"seed = 1\n\xff\xfe bad\n")
+    target = ["--unknown", "4", "--out", str(tmp_path / "run")] if command == "train" else [
+        "--report", str(tmp_path / "report.csv")]
+    rc = cli.main(
+        [command, "--cube", str(synth_dir / "cube.hsid"), "--labels",
+         str(synth_dir / "labels.hsil"), "--config", str(bad), *target]
+    )
+    assert rc == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: config file {bad} is not UTF-8: ")
+    assert not (tmp_path / "run").exists() and not (tmp_path / "report.csv").exists()
+
+
 def test_train_huge_class_id_exit_2_in_small_memory(synth_dir, tmp_path):
     labels = load_labels(synth_dir / "labels.hsil")
     ids = labels.labels.copy()
@@ -389,6 +407,29 @@ def test_eval_class_mismatch_exit_2(trained_dir, tmp_path, capsys):
     )
     assert rc == 2
     assert "classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ids, classes",
+    # the union of the ids is 1..classes in both, but split would not choose them
+    [({"unknown_class_ids": [3]}, 3), ({"known_class_ids": [2, 1, 3]}, 4)],
+    ids=["unknown-overlaps-known", "permuted-known"],
+)
+def test_eval_class_ids_not_from_split_exit_2(trained_dir, tmp_path, capsys, ids, classes):
+    scene = tmp_path / "scene"
+    assert cli.main(
+        ["synth", "--out", str(scene), "--classes", str(classes), "--bands", "24",
+         "--per-class", "30", "--seed", "3"]
+    ) == 0
+    model = _edited_checkpoint(trained_dir, tmp_path, lambda h, values: h.update(ids))
+    capsys.readouterr()
+    rc = cli.main(
+        ["eval", "--model", str(model), "--cube", str(scene / "cube.hsid"),
+         "--labels", str(scene / "labels.hsil")]
+    )
+    assert rc == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: model knows classes ")
 
 
 def test_eval_missing_model_exit_2(synth_dir, tmp_path, capsys):
@@ -724,6 +765,60 @@ def test_sweep_dead_worker_gives_annotated_rows_exit_4(tmp_path):
             assert any(line.startswith(f"failed: class {cls}: ") for line in failed)
         else:
             assert 0.0 <= float(auc) <= 1.0
+
+
+def test_sweep_ctrl_c_exits_130_with_one_line_and_no_worker_left(tmp_path):
+    assert cli.main(
+        ["synth", "--out", str(tmp_path), "--classes", "4", "--bands", "16",
+         "--per-class", "200", "--seed", "1"]
+    ) == 0
+    # each run takes tens of seconds uninterrupted: far past the bound below
+    (tmp_path / "run.cfg").write_text("epochs_stage1=50\nepochs_stage2=20000\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for jobs in ("1", "2"):
+        report = tmp_path / f"report{jobs}.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rdosr", "sweep", "--cube", str(tmp_path / "cube.hsid"),
+             "--labels", str(tmp_path / "labels.hsil"), "--config", str(tmp_path / "run.cfg"),
+             "--report", str(report), "--jobs", jobs],
+            stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+        )
+        try:
+            time.sleep(3.0)
+            # what a terminal's Ctrl-C sends: SIGINT to the whole process group
+            os.killpg(proc.pid, signal.SIGINT)
+            start = time.monotonic()
+            _, err = proc.communicate(timeout=60)
+            stopped_in = time.monotonic() - start
+        finally:
+            proc.kill()
+            leftover = _process_group_alive(proc.pid)
+            if leftover:
+                os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 130, err
+        assert err.splitlines() == ["interrupted"]
+        assert stopped_in < 10.0
+        assert not report.exists()
+        assert not leftover
+
+
+def _process_group_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("command, required", [("train", ["--out", "o"]),
+                                               ("sweep", ["--report", "r"])])
+def test_train_and_sweep_parse_the_shared_flags_alike(command, required):
+    args = cli.make_parser().parse_args(
+        [command, *required, "--cube", "c", "--labels", "l", "--config", "f", "--seed", "3",
+         "--train-fraction", "0.25", "--set", "lr=0.1", "--set", "seed=2"]
+    )
+    assert (args.cube, args.labels, args.config, args.seed, args.train_fraction, args.set) == (
+        "c", "l", "f", 3, 0.25, ["lr=0.1", "seed=2"])
 
 
 # ---------------------------------------------------------------------------

@@ -242,19 +242,12 @@ def test_sweep_pool_is_sized_by_class_count(monkeypatch):
     assert budgets == [(3,), (1,), (1,)]
 
 
-def test_set_blas_threads_sets_the_bundled_openblas_count():
-    import ctypes
-    import glob
-    import os
-
+def test_set_blas_threads_sets_the_bundled_openblas_count(openblas):
     import rdosr.openset as om
 
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    paths = glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))
-    lib = ctypes.CDLL(paths[0]) if paths else None
-    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+    if openblas is None:
         pytest.skip("NumPy here does not bundle scipy-openblas")
-    get = lib.scipy_openblas_get_num_threads64_
+    get = openblas.scipy_openblas_get_num_threads64_
     before = get()
     try:
         om._set_blas_threads(1)
