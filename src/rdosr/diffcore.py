@@ -72,7 +72,7 @@ def require_finite(x: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 class ParamBlock:
-    """A trainable matrix paired with its gradient accumulator."""
+    """A trainable matrix paired with its gradient, which backward writes."""
 
     __slots__ = ("value", "grad")
 
@@ -151,7 +151,7 @@ class Adam:
             m, v = self.first_moment[sl], self.second_moment[sl]
             tmp, upd = self._scratch[:, : w.size]
             # same per-element operations, in the same order, as
-            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+            # m = b1*m + (1-b1)*g; v = b2*v + (g*g)*(1-b2);
             # w -= lr * (m/c1) / (sqrt(v/c2) + eps)
             m *= b1
             np.multiply(g, 1.0 - b1, out=tmp)
@@ -167,6 +167,7 @@ class Adam:
             upd *= self.lr
             upd /= tmp
             w -= upd
+            # backward writes every gradient; zeroing guards a parameter it missed
             g[...] = 0.0
 
 
@@ -315,7 +316,8 @@ def _l2_recon_mean(z: np.ndarray, zh: np.ndarray):
 
 
 class AffineLayer:
-    """Dense layer y = x @ w + b; backward accumulates into the param grads."""
+    """Dense layer y = x @ w + b; backward writes the param grads and drops
+    the cached input."""
 
     def __init__(self, w: ParamBlock, b: ParamBlock) -> None:
         self.w = w
@@ -339,10 +341,11 @@ class AffineLayer:
         return y
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        d_w, d_b, d_x = affine_backward(d_out, self.w.value, self._x)
-        self.w.grad += d_w
-        self.b.grad += d_b
-        return d_x
+        # the bits of affine_backward, written into the gradient views
+        x, self._x = self._x, None
+        np.matmul(x.T, d_out, out=self.w.grad)
+        d_out.sum(axis=0, keepdims=True, out=self.b.grad)
+        return d_out @ self.w.value.T
 
     def named_params(self, prefix: str) -> list[tuple[str, ParamBlock]]:
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
@@ -352,17 +355,19 @@ class ActivationLayer:
     """The relu layer y = max(x, 0) of every network."""
 
     def __init__(self) -> None:
-        self._x: np.ndarray | None = None
+        self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
         """keep=False runs forward only and writes the output over `x` (in a
-        `Stack`, a fresh affine output); keep=True never changes `x`."""
-        self._x = x if keep else None
+        `Stack`, a fresh affine output); keep=True never changes `x` and
+        keeps only the bool mask `x > 0.0`, so `x` can die after the call."""
+        self._mask = x > 0.0 if keep else None
         return np.maximum(x, 0.0, out=None if keep else x)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        # a bool mask; multiplying by it equals multiplying by its 0.0/1.0 floats
-        return d_out * (self._x > 0.0)
+        # multiplying by the bool mask equals multiplying by its 0.0/1.0 floats
+        mask, self._mask = self._mask, None
+        return d_out * mask
 
     def named_params(self, prefix: str) -> list[tuple[str, ParamBlock]]:
         return []

@@ -179,7 +179,7 @@ class StickHead:
         return s
 
     def backward(self, d_s: np.ndarray) -> np.ndarray:
-        a_b, sig, u, beta_raw, inv_b, v, prev = self._cache
+        (a_b, sig, u, beta_raw, inv_b, v, prev), self._cache = self._cache, None
         d_v = _stick_break_backward(d_s, v, prev)
         d_u, d_beta = _kuma_v_backward(d_v, u, inv_b, v)
         # clamps pass no gradient where they were active

@@ -271,8 +271,8 @@ def _training_set(net_in, net_out: Stack, x, labels_dense, stage: str):
 
 def stage1_loss(f: Stack, x, y_onehot, lambda_f: float, lambda_z: float, backward: bool = False):
     """Closed-set objective: lambda_f * cross-entropy + lambda_z * mean L1 of
-    the embedding logits. Returns (loss, logits); with backward=True the
-    parameter gradients are accumulated."""
+    the embedding logits. Returns (loss, logits); with backward=True each
+    parameter's gradient is written and F drops its backward caches."""
     x, y = _batch(f, f, x, y_onehot)
     return _stage1_loss(f, x, y, lambda_f, lambda_z, backward)
 
@@ -333,7 +333,7 @@ def _train_epochs(params, n: int, epochs: int, config: TrainConfig, rng, step, s
     """Adam over shuffled minibatches of n rows. `step(rows, epoch)` trains on
     a batch and returns (mean loss, row totals); yields (epoch, totals / n)."""
     opt = Adam(params, lr=config.lr)
-    opt.zero_grad()  # every step zeroes the gradient it consumes
+    opt.zero_grad()  # a guard, like Adam.step's zeroing: backward writes every gradient
     for epoch in range(epochs):
         sums = 0.0
         perm = rng.permutation(n)

@@ -4,6 +4,7 @@ import pytest
 from rdosr.diffcore import (
     ADAM_CHUNK,
     ActivationLayer,
+    AffineLayer,
     Adam,
     DomainError,
     NumericError,
@@ -65,6 +66,24 @@ def test_affine_gradients_match_finite_differences():
     assert err < 1e-6
 
 
+def test_affine_layer_backward_writes_the_bits_of_affine_backward():
+    rng = np.random.default_rng(8)
+    layer = AffineLayer.create(64, 512, rng, bias=0.1)
+    x = rng.normal(size=(256, 64))
+    d_out = rng.normal(size=(256, 512))
+    d_out[:, :3] = [0.0, -0.0, 1e-300]  # columns whose sums are exact or tiny
+    # stale values the write must replace, not add to
+    layer.w.grad[...] = np.nan
+    layer.b.grad[...] = 1.0
+    layer.forward(x)
+    d_x = layer.backward(d_out)
+    d_w, d_b, ref_d_x = affine_backward(d_out, layer.w.value, x)
+    assert np.array_equal(layer.w.grad.view(np.int64), d_w.view(np.int64))
+    assert np.array_equal(layer.b.grad.view(np.int64), d_b.view(np.int64))
+    assert np.array_equal(d_x.view(np.int64), ref_d_x.view(np.int64))
+    assert layer._x is None  # backward consumed the cache
+
+
 # ---------------------------------------------------------------------------
 # activations
 
@@ -110,7 +129,20 @@ def test_activation_keep_never_changes_its_input(kind):
     layer = ActivationLayer()
     y = layer.forward(x)
     assert np.array_equal(x.view(np.int64), before.view(np.int64))
-    assert layer._x is x and not np.shares_memory(y, x)
+    # the cache is a bool mask of its own, so x can die after the call
+    assert layer._mask.dtype == bool and np.array_equal(layer._mask, before > 0.0)
+    assert not np.shares_memory(layer._mask, x) and not np.shares_memory(y, x)
+
+
+def test_relu_mask_backward_bit_equal_to_the_float_input_form():
+    x = _activation_inputs()
+    d_out = np.random.default_rng(6).normal(size=x.shape)
+    d_out[0] = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, -1.0, 2.0, 3.0]
+    layer = ActivationLayer()
+    layer.forward(x)
+    got = layer.backward(d_out)
+    assert np.array_equal(got.view(np.int64), (d_out * (x > 0.0)).view(np.int64))
+    assert layer._mask is None  # backward consumed the cache
 
 
 def test_relu_forward_only_writes_over_its_input():

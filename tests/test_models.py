@@ -24,6 +24,7 @@ from rdosr.models import (
     TrainConfig,
     _build_model,
     _row_blocks,
+    _stage1_loss,
     build_classifier_c,
     build_classifier_f,
     build_decoder_d,
@@ -583,7 +584,7 @@ def _caches(*networks):
         if isinstance(l, Stack):
             caches += _caches(l)
         else:
-            caches += [getattr(l, a) for a in ("_x", "_y", "_cache") if hasattr(l, a)]
+            caches += [getattr(l, a) for a in ("_x", "_mask", "_cache") if hasattr(l, a)]
             if isinstance(l, StickHead):  # its two affine layers cache their input
                 caches += _caches(Stack([l.u, l.beta]))
     return caches
@@ -596,18 +597,21 @@ def test_scoring_keeps_no_backward_cache():
     f, e, d = model.f, model.e, model.d
     probe = parts.test_known.pixels
     xn = model.normalizer.apply(probe)
+    z = xn if cfg.space == "image" else embed(f, xn, cfg.embedding_scale)
+    # each scorer with the networks it runs, and so must clear
     scorers = (
-        lambda: model.open_score(probe),
-        lambda: model.open_score(probe, with_labels=True),
-        lambda: embed(f, xn, cfg.embedding_scale),
+        (lambda: embed(f, xn, cfg.embedding_scale), (f,)),
+        (lambda: model.open_score(probe), (f, e, d)),
+        (lambda: model.open_score(probe, with_labels=True), (f, e, d)),
     )
-    # stage 2 left E's and D's caches filled; open_score clears them
-    assert all(c is not None for c in _caches(e, d))
-    for score in scorers:
-        f.forward(xn)  # a training pass fills F's caches
-        assert all(c is not None for c in _caches(f))
+    # each backward pass drops the caches it read, so training leaves none
+    assert all(c is None for c in _caches(f, e, d, model.c))
+    for score, networks in scorers:
+        f.forward(xn)  # training passes fill the caches
+        d.forward(e.forward(z))
+        assert all(c is not None for c in _caches(f, e, d))
         score()
-        assert all(c is None for c in _caches(f))
+        assert all(c is None for c in _caches(*networks))
     assert all(c is None for c in _caches(f, e, d))
 
 
@@ -712,6 +716,24 @@ def _traced_peak(run) -> int:
 # that allocates, keeping every layer's input for a backward pass, or running
 # F over every row at once would reach two of them
 _PEAK_BOUND = 2 * SCORE_BLOCK * max(F_HIDDEN) * 8
+
+
+# A stage-1 step on a batch needs each affine layer's input for backward, a
+# bool mask per relu and the gradient flowing back: under twice the batch's
+# activations (8.1 MiB at batch 256). Caching each relu's float input, which
+# keeps every affine output alive, and writing the weight gradients through
+# temporaries peaked at 15.9 MB
+_STEP_BOUND = 2 * 256 * sum(F_HIDDEN) * 8
+
+
+def test_stage1_step_peak_memory_stays_below_twice_the_activations():
+    rng = np.random.default_rng(0)
+    f = build_classifier_f(64, 5, rng)
+    Adam(f.params()).zero_grad()  # gradients live in the flat buffer, as in training
+    x = rng.normal(size=(256, 64))
+    y = one_hot(rng.integers(1, 6, size=256), 5)
+    stage1_loss(f, x, y, 1.0, 0.1, backward=True)  # a warm-up step
+    assert _traced_peak(lambda: _stage1_loss(f, x, y, 1.0, 0.1, True)) < _STEP_BOUND
 
 
 def test_open_score_peak_memory_stays_below_three_widest_activations():

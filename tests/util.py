@@ -60,7 +60,7 @@ def randomize(params, rng: np.random.Generator, scale: float = 0.6) -> None:
 
 
 def param_loss_fn(params, compute):
-    """Adapt `compute() -> loss with grads accumulated` to grad_check's form."""
+    """Adapt `compute() -> loss`, which fills the zeroed grads, to grad_check's form."""
 
     def f(vec):
         unpack(params, vec)
