@@ -11,6 +11,7 @@ test suite uses to certify them.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,7 +73,8 @@ def require_finite(x: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 class ParamBlock:
-    """A trainable matrix paired with its gradient, which backward writes."""
+    """A trainable matrix paired with its gradient, which backward writes.
+    Either may view a buffer other blocks share, so set them in place."""
 
     __slots__ = ("value", "grad")
 
@@ -81,6 +83,13 @@ class ParamBlock:
         if self.value.ndim != 2:
             raise ShapeError(f"parameter must be 2-D, got shape {self.value.shape}")
         self.grad = np.zeros(self.value.shape)  # fresh zero pages, untouched until written
+
+    @classmethod
+    def unset(cls, shape: tuple[int, int]) -> "ParamBlock":
+        """A block for a caller to bind: until then both arrays are read-only zeros in no memory."""
+        block = cls.__new__(cls)
+        block.value = block.grad = np.broadcast_to(0.0, shape)
+        return block
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -103,38 +112,26 @@ ADAM_EPSILON = 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam over a list of parameters, in one flat buffer.
+    """Bias-corrected Adam over a list of parameters, as flat buffers.
 
-    Construction copies every block's value and gradient into one
-    contiguous float64 buffer each and rebinds `block.value`/`block.grad`
-    to views into it, so a step is a few vector ops over the whole
-    parameter set instead of a dozen per block. A block therefore belongs
-    to one live optimizer (building another rebinds it again), and code
-    that sets parameters writes in place (`block.value[...] = ...`) rather
-    than assigning a new array. `pairs` lists each block with its slice of
-    the flat buffer.
+    Blocks whose values (or gradients) are consecutive views of one array
+    (a model's buffers) are stepped there, in place; others are copied into
+    a new buffer and rebound to views of it, which ties them to this
+    optimizer. `pairs` lists each block with its slice of the buffers.
     """
 
     def __init__(self, params: Sequence[ParamBlock], lr: float = 1e-3) -> None:
         self.lr = float(lr)
         self.step_count = 0
         params = list(params)
-        total = sum(p.value.size for p in params)
-        self.value = np.empty(total)
-        self.grad = np.empty(total)
+        ends = [0, *accumulate(p.value.size for p in params)]
+        self.pairs = [(p, slice(a, b)) for p, a, b in zip(params, ends, ends[1:])]
+        total = ends[-1]
+        self.value = _flat(self.pairs, "value")
+        self.grad = _flat(self.pairs, "grad")
         self.first_moment = np.zeros(total)
         self.second_moment = np.zeros(total)
         self._scratch = np.empty((2, min(total, ADAM_CHUNK)))
-        self.pairs: list[tuple[ParamBlock, slice]] = []
-        offset = 0
-        for p in params:
-            sl = slice(offset, offset + p.value.size)
-            self.value[sl] = p.value.ravel()
-            self.grad[sl] = p.grad.ravel()
-            p.value = self.value[sl].reshape(p.shape)
-            p.grad = self.grad[sl].reshape(p.shape)
-            self.pairs.append((p, sl))
-            offset = sl.stop
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -169,6 +166,23 @@ class Adam:
             w -= upd
             # backward writes every gradient; zeroing guards a parameter it missed
             g[...] = 0.0
+
+
+def _flat(pairs: list[tuple[ParamBlock, slice]], attr: str) -> np.ndarray:
+    """The flat array whose slices hold the blocks' `attr` arrays: the one
+    they already are C-order views of, or a new one they are copied into."""
+    arrays = [getattr(p, attr) for p, _ in pairs]
+    base = arrays[0].base if arrays else None
+    if isinstance(base, np.ndarray) and base.dtype == np.float64 and base.strides == (8,):
+        flat = base[(arrays[0].ctypes.data - base.ctypes.data) // 8 :][: pairs[-1][1].stop]
+        if all(a.base is base and a.flags.c_contiguous and a.ctypes.data == flat[sl].ctypes.data
+               for a, (_, sl) in zip(arrays, pairs)):
+            return flat
+    flat = np.empty(pairs[-1][1].stop if pairs else 0)
+    for a, (p, sl) in zip(arrays, pairs):
+        flat[sl] = a.ravel()
+        setattr(p, attr, flat[sl].reshape(a.shape))
+    return flat
 
 
 def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -326,9 +340,10 @@ class AffineLayer:
 
     @classmethod
     def create(
-        cls, fan_in: int, fan_out: int, rng: np.random.Generator, bias: float = 0.0
+        cls, fan_in: int, fan_out: int, rng: np.random.Generator | None, bias: float = 0.0
     ) -> "AffineLayer":
-        w = ParamBlock(glorot_uniform(fan_in, fan_out, rng))
+        shape = (fan_in, fan_out)  # with no rng the weights are unset, for a caller to bind
+        w = ParamBlock.unset(shape) if rng is None else ParamBlock(glorot_uniform(*shape, rng))
         b = ParamBlock(np.full((1, fan_out), float(bias)))
         return cls(w, b)
 

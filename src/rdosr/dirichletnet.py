@@ -155,7 +155,7 @@ class StickHead:
         self._cache = None
 
     @classmethod
-    def create(cls, in_width: int, c: int, rng: np.random.Generator) -> "StickHead":
+    def create(cls, in_width: int, c: int, rng: np.random.Generator | None) -> "StickHead":
         # u draws its weights first, then beta
         return cls(AffineLayer.create(in_width, c, rng), AffineLayer.create(in_width, c, rng))
 

@@ -14,7 +14,6 @@ import json
 import struct
 import sys
 from dataclasses import asdict, dataclass, fields
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .diffcore import (
     _l2_recon_mean,
     _softmax_xent,
     as_matrix,
+    glorot_uniform,
     require_finite,
     softmax,
 )
@@ -175,7 +175,7 @@ class Stage2Record:
 # network builders
 
 
-def _relu_stack(width: int, hidden, rng: np.random.Generator, out_width=None) -> Stack:
+def _relu_stack(width: int, hidden, rng: np.random.Generator | None, out_width=None) -> Stack:
     """Affine+relu layers of the given widths, then a linear map to
     `out_width` if one is given. Layers draw their weights in order."""
     layers = []
@@ -187,13 +187,13 @@ def _relu_stack(width: int, hidden, rng: np.random.Generator, out_width=None) ->
     return Stack(layers)
 
 
-def build_classifier_f(band_count: int, class_count: int, rng: np.random.Generator,
+def build_classifier_f(band_count: int, class_count: int, rng: np.random.Generator | None,
                        hidden=F_HIDDEN) -> Stack:
     """Embedding classifier: relu stack ending in linear logits of width L."""
     return _relu_stack(band_count, hidden, rng, class_count)
 
 
-def build_encoder_e(in_width: int, rng: np.random.Generator, dirichlet: bool) -> Stack:
+def build_encoder_e(in_width: int, rng: np.random.Generator | None, dirichlet: bool) -> Stack:
     """Encoder `Stack([trunk, head])`: a small relu trunk feeding either a
     stick-breaking head (Dirichlet modes) or a plain affine+relu
     representation layer of the same width."""
@@ -203,13 +203,13 @@ def build_encoder_e(in_width: int, rng: np.random.Generator, dirichlet: bool) ->
     return Stack([trunk, _relu_stack(E_HIDDEN[-1], (REPR_WIDTH,), rng)])
 
 
-def build_decoder_d(out_width: int, rng: np.random.Generator) -> Stack:
+def build_decoder_d(out_width: int, rng: np.random.Generator | None) -> Stack:
     """Decoder: relu layer then a linear map whose weights are the shared
     bases the representations mix."""
     return _relu_stack(REPR_WIDTH, (D_HIDDEN,), rng, out_width)
 
 
-def build_classifier_c(class_count: int, rng: np.random.Generator) -> Stack:
+def build_classifier_c(class_count: int, rng: np.random.Generator | None) -> Stack:
     """Single affine map from the representation to known-class logits."""
     return _relu_stack(REPR_WIDTH, (), rng, class_count)
 
@@ -509,16 +509,30 @@ class RdosrModel:
 
 
 def _build_model(config: TrainConfig, band_count: int, known: tuple, unknown: tuple,
-                 train_fraction: float, normalizer: Normalizer, rng) -> RdosrModel:
-    """The model with fresh networks, drawn from `rng` in the order F, E, D, C."""
-    f = build_classifier_f(band_count, len(known), rng)
+                 train_fraction: float, normalizer: Normalizer, rng=None) -> RdosrModel:
+    """The model with fresh networks whose parameters and gradients are views
+    of one flat buffer each, in `named_params()` order. Weights are drawn from
+    `rng` in that order (F, E, D, C), or with no `rng` left for a checkpoint."""
+    f = build_classifier_f(band_count, len(known), None)
     e = d = c = None
     if config.mode != "softmax":
         e_width = band_count if config.space == "image" else len(known)
-        e = build_encoder_e(e_width, rng, dirichlet=config.mode in ("rdosr", "ae_cls_dirichlet"))
-        d = build_decoder_d(e_width, rng)
-        c = build_classifier_c(len(known), rng)
-    return RdosrModel(config, band_count, known, unknown, train_fraction, normalizer, f, e, d, c)
+        e = build_encoder_e(e_width, None, dirichlet=config.mode in ("rdosr", "ae_cls_dirichlet"))
+        d = build_decoder_d(e_width, None)
+        c = build_classifier_c(len(known), None)
+    model = RdosrModel(config, band_count, known, unknown, train_fraction, normalizer, f, e, d, c)
+    named = model.named_params()
+    values = np.empty(sum(p.value.size for _, p in named))
+    grads = np.zeros(values.size)  # fresh zero pages, untouched until written
+    at = 0
+    for name, p in named:
+        sl, shape = slice(at, at + p.value.size), p.shape
+        if name.endswith(".b"):
+            values[sl] = p.value.ravel()  # the layer's constant bias
+        elif rng is not None:
+            values[sl] = glorot_uniform(*shape, rng).ravel()
+        p.value, p.grad, at = values[sl].reshape(shape), grads[sl].reshape(shape), sl.stop
+    return model
 
 
 def train_pipeline(
@@ -613,10 +627,6 @@ def _check_header(path, header) -> None:
         raise FormatError(f"{path}: train_fraction must be a number")
 
 
-# the loader's generator: a stored array overwrites every weight it "draws"
-_NO_DRAWS = SimpleNamespace(uniform=lambda low, high, size: np.empty(size))
-
-
 def load_checkpoint(path) -> RdosrModel:
     raw, (blob_len,) = _read_container(path, _CKPT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     offset = _CKPT_HEADER.size
@@ -634,15 +644,9 @@ def load_checkpoint(path) -> RdosrModel:
     # refused before the model is built
     if 8 * (bands * F_HIDDEN[0] + len(known) * F_HIDDEN[-1]) > len(raw) - offset:
         raise TruncatedError(f"{path}: payload too small for {bands} bands, {len(known)} classes")
-    model = _build_model(
-        config,
-        bands,
-        known,
-        tuple(header["unknown_class_ids"]),
-        float(header["train_fraction"]),
-        Normalizer(mean=np.empty(bands), std=np.empty(bands)),
-        _NO_DRAWS,
-    )
+    normalizer = Normalizer(mean=np.empty(bands), std=np.empty(bands))
+    model = _build_model(config, bands, known, tuple(header["unknown_class_ids"]),
+                         float(header["train_fraction"]), normalizer)
     arrays = _checkpoint_arrays(model)
     if header["arrays"] != [[name, *a.shape] for name, a in arrays]:
         raise FormatError(f"{path}: array table does not match the architecture")

@@ -368,40 +368,80 @@ def test_adam_wrapper_zeroes_and_steps():
     assert all(p.grad.max() == 0.0 for p in params)
 
 
+def _views_of_one_buffer(arrays, order, gap=0, lead=0):
+    """Blocks holding `arrays` whose values and gradients are views of one
+    NaN-filled buffer each: `lead` unused elements, then the blocks in
+    `order` with `gap` unused elements between them. Returns (blocks in the
+    arrays' order, value buffer, gradient buffer)."""
+    size = lead + sum(a.size for a in arrays) + gap * (len(arrays) - 1)
+    values, grads = np.full(size, np.nan), np.full(size, np.nan)
+    blocks = [None] * len(arrays)
+    at = lead
+    for i in order:
+        sl = slice(at, at + arrays[i].size)
+        values[sl] = arrays[i].ravel()
+        grads[sl] = 0.0
+        blocks[i] = ParamBlock(values[sl].reshape(arrays[i].shape))
+        blocks[i].grad = grads[sl].reshape(arrays[i].shape)
+        at = sl.stop + gap
+    return blocks, values, grads
+
+
 def test_adam_rebinds_blocks_as_views_and_keeps_their_contents():
+    # blocks that do not tile one buffer in order are gathered into Adam's
     rng = np.random.default_rng(8)
-    params = [ParamBlock(rng.normal(size=shape)) for shape in ((3, 4), (1, 4), (5, 1))]
-    params[1].grad[...] = 2.5
-    before = [(p.value.copy(), p.grad.copy()) for p in params]
-    opt = Adam(params)
-    for (p, sl), (value, grad) in zip(opt.pairs, before):
-        assert np.shares_memory(p.value, opt.value) and np.shares_memory(p.grad, opt.grad)
-        assert np.array_equal(p.value, value) and np.array_equal(p.grad, grad)
-        assert np.array_equal(opt.value[sl], value.ravel())
-    opt.zero_grad()
-    assert not opt.grad.any() and not params[1].grad.any()
+    init = [rng.normal(size=shape) for shape in ((3, 4), (1, 4), (5, 1))]
+    for layout in ("own-arrays", "gapped-views", "reordered-views"):
+        params, buffers = [ParamBlock(a) for a in init], ()
+        if layout != "own-arrays":
+            order = [2, 0, 1] if layout == "reordered-views" else [0, 1, 2]
+            gap = 2 if layout == "gapped-views" else 0
+            params, *buffers = _views_of_one_buffer(init, order, gap=gap)
+        params[1].grad[...] = 2.5
+        before = [(p.value.copy(), p.grad.copy()) for p in params]
+        opt = Adam(params)
+        for (p, sl), (value, grad) in zip(opt.pairs, before):
+            assert np.shares_memory(p.value, opt.value) and np.shares_memory(p.grad, opt.grad)
+            assert np.array_equal(p.value, value) and np.array_equal(p.grad, grad)
+            assert np.array_equal(opt.value[sl], value.ravel())
+        assert not any(np.shares_memory(b, opt.value) or np.shares_memory(b, opt.grad) for b in buffers)
+        opt.zero_grad()
+        assert not opt.grad.any() and not params[1].grad.any(), layout
 
 
 def test_adam_matches_per_block_reference_bit_for_bit():
+    # "one-buffer" blocks tile one value and one gradient buffer after five
+    # unused elements, as a model's stage-2 networks follow F: Adam steps
+    # those buffers in place
     rng = np.random.default_rng(6)
     shapes = [(64, 200), (1, 200), (200, 37), (1, 37), (37, 3), (1, 3), (1, 1)]
     assert sum(r * c for r, c in shapes) > ADAM_CHUNK
-    init = [rng.normal(size=shape) for shape in shapes]
-    flat = [ParamBlock(a) for a in init]
-    ref = [ParamBlock(a) for a in init]
-    opt, ref_opt = Adam(flat, lr=1e-2), ReferenceAdam(ref, lr=1e-2)
-    for _ in range(5):
+    for layout in ("own-arrays", "one-buffer"):
+        init = [rng.normal(size=shape) for shape in shapes]
+        flat = [ParamBlock(a) for a in init]
+        if layout == "one-buffer":
+            flat, values, grads = _views_of_one_buffer(init, range(len(init)), lead=5)
+        arrays = [(p.value, p.grad) for p in flat]
+        ref = [ParamBlock(a) for a in init]
+        opt, ref_opt = Adam(flat, lr=1e-2), ReferenceAdam(ref, lr=1e-2)
+        if layout == "one-buffer":
+            assert all(p.value is v and p.grad is g for p, (v, g) in zip(flat, arrays))
+            assert opt.value.base is values and opt.grad.base is grads
+        for _ in range(5):
+            for p, q in zip(flat, ref):
+                g = rng.normal(size=p.shape) * rng.choice([1e-6, 1.0, 1e3])
+                p.grad[...] = g
+                q.grad[...] = g
+            opt.step()
+            ref_opt.step()
         for p, q in zip(flat, ref):
-            g = rng.normal(size=p.shape) * rng.choice([1e-6, 1.0, 1e3])
-            p.grad[...] = g
-            q.grad[...] = g
-        opt.step()
-        ref_opt.step()
-    for p, q in zip(flat, ref):
-        assert np.array_equal(p.value, q.value)
-        assert not p.grad.any()
-    assert np.array_equal(opt.first_moment, np.concatenate([m.ravel() for m in ref_opt.first_moment]))
-    assert np.array_equal(opt.second_moment, np.concatenate([v.ravel() for v in ref_opt.second_moment]))
+            assert np.array_equal(p.value, q.value), layout
+            assert not p.grad.any()
+        if layout == "one-buffer":
+            assert np.isnan(values[:5]).all() and np.isnan(grads[:5]).all()
+        moments = [(opt.first_moment, ref_opt.first_moment), (opt.second_moment, ref_opt.second_moment)]
+        for got, want in moments:
+            assert np.array_equal(got, np.concatenate([m.ravel() for m in want])), layout
 
 
 # ---------------------------------------------------------------------------

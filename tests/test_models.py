@@ -870,6 +870,50 @@ def test_load_checkpoint_draws_nothing_and_copies_into_owned_arrays(
     assert (tmp_path / "again.rdck").read_bytes() == path.read_bytes()
 
 
+def _one_buffer(arrays) -> np.ndarray:
+    """The flat float64 buffer `arrays` are consecutive C-order views of, in
+    order and without gaps, from its first element to its last."""
+    base = arrays[0].base
+    assert isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == np.float64
+    assert base.flags.c_contiguous and base.base is None
+    at = 0
+    for a in arrays:
+        assert a.base is base and a.flags.c_contiguous
+        assert a.ctypes.data == base.ctypes.data + 8 * at
+        at += a.size
+    assert at == base.size
+    return base
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("mode", MODES)
+def test_trained_and_loaded_parameters_are_views_of_one_buffer(tmp_path, mode, space):
+    ds = small_dataset(classes=3, per_class=40)
+    cfg = quick_config(mode=mode, space=space, epochs_stage1=2, epochs_stage2=2, batch_size=32)
+    model, _, _ = train_pipeline(ds, {3}, cfg, 0.5)
+    save_checkpoint(tmp_path / "model.rdck", model)
+    for m in (model, load_checkpoint(tmp_path / "model.rdck")):
+        blocks = [p for _, p in m.named_params()]  # F, E, D and C
+        values = _one_buffer([p.value for p in blocks])
+        grads = _one_buffer([p.grad for p in blocks])
+        assert not np.shares_memory(values, grads)
+
+
+def test_adam_over_a_built_f_keeps_its_arrays():
+    params = _untrained_model().f.params()
+    arrays = [(p.value, p.grad) for p in params]
+    Adam(params)
+    assert all(p.value is v and p.grad is g for p, (v, g) in zip(params, arrays))
+
+
+def test_adam_over_a_built_f_allocates_only_its_moments():
+    # the two moments and a chunk of scratch: copies of F's values or
+    # gradients would take 8 bytes per parameter more each
+    params = _untrained_model().f.params()
+    size = sum(p.value.size for p in params)
+    assert _traced_peak(lambda: Adam(params)) < 2.5 * 8 * size
+
+
 def test_flat_adam_checkpoint_matches_per_block_reference(tmp_path, monkeypatch):
     # F's 1.1 M parameters span many Adam chunks; stage 2 fits in one
     ds = small_dataset(classes=3, per_class=40)
