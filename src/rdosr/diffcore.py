@@ -23,6 +23,8 @@ __all__ = [
     "as_matrix",
     "require_finite",
     "ParamBlock",
+    "bind",
+    "drawn",
     "Adam",
     "glorot_uniform",
     "affine",
@@ -86,7 +88,7 @@ class ParamBlock:
 
     @classmethod
     def unset(cls, shape: tuple[int, int]) -> "ParamBlock":
-        """A block for a caller to bind: until then both arrays are read-only zeros in no memory."""
+        """A weight for `bind` to store: until then both arrays are read-only zeros in no memory."""
         block = cls.__new__(cls)
         block.value = block.grad = np.broadcast_to(0.0, shape)
         return block
@@ -112,13 +114,10 @@ ADAM_EPSILON = 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam over a list of parameters, as flat buffers.
-
-    Blocks whose values (or gradients) are consecutive views of one array
-    (a model's buffers) are stepped there, in place; others are copied into
-    a new buffer and rebound to views of it, which ties them to this
-    optimizer. `pairs` lists each block with its slice of the buffers.
-    """
+    """Bias-corrected Adam, stepping in place blocks laid out by `bind`:
+    their values and gradients are consecutive views of one array each, in
+    order; any other list raises ShapeError. `pairs` lists each block with
+    its slice of the buffers."""
 
     def __init__(self, params: Sequence[ParamBlock], lr: float = 1e-3) -> None:
         self.lr = float(lr)
@@ -169,8 +168,7 @@ class Adam:
 
 
 def _flat(pairs: list[tuple[ParamBlock, slice]], attr: str) -> np.ndarray:
-    """The flat array whose slices hold the blocks' `attr` arrays: the one
-    they already are C-order views of, or a new one they are copied into."""
+    """The flat array whose consecutive slices the blocks' `attr` arrays are."""
     arrays = [getattr(p, attr) for p, _ in pairs]
     base = arrays[0].base if arrays else None
     if isinstance(base, np.ndarray) and base.dtype == np.float64 and base.strides == (8,):
@@ -178,11 +176,31 @@ def _flat(pairs: list[tuple[ParamBlock, slice]], attr: str) -> np.ndarray:
         if all(a.base is base and a.flags.c_contiguous and a.ctypes.data == flat[sl].ctypes.data
                for a, (_, sl) in zip(arrays, pairs)):
             return flat
-    flat = np.empty(pairs[-1][1].stop if pairs else 0)
-    for a, (p, sl) in zip(arrays, pairs):
-        flat[sl] = a.ravel()
-        setattr(p, attr, flat[sl].reshape(a.shape))
-    return flat
+    raise ShapeError(f"Adam: parameter {attr}s do not tile one buffer; bind the blocks first")
+
+
+def bind(blocks: Sequence[ParamBlock], rng: np.random.Generator | None = None) -> None:
+    """Rebind the blocks, in order, to consecutive views of one new value
+    buffer and one zeroed gradient buffer, the layout `Adam` steps. A block
+    that holds values keeps them; an unset (read-only) weight is drawn from
+    `rng` with `glorot_uniform`, in order, or with no `rng` left unwritten."""
+    values = np.empty(sum(p.value.size for p in blocks))
+    grads = np.zeros(values.size)  # fresh zero pages, untouched until written
+    at = 0
+    for p in blocks:
+        sl, shape = slice(at, at + p.value.size), p.shape
+        if p.value.flags.writeable:
+            values[sl] = p.value.ravel()
+        elif rng is not None:
+            values[sl] = glorot_uniform(*shape, rng).ravel()
+        p.value, p.grad, at = values[sl].reshape(shape), grads[sl].reshape(shape), sl.stop
+
+
+def drawn(net, rng: np.random.Generator | None):
+    """`net` bound and drawn from `rng`; with no `rng`, unset for a caller to bind."""
+    if rng is not None:
+        bind(net.params(), rng)
+    return net
 
 
 def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -333,19 +351,10 @@ class AffineLayer:
     """Dense layer y = x @ w + b; backward writes the param grads and drops
     the cached input."""
 
-    def __init__(self, w: ParamBlock, b: ParamBlock) -> None:
-        self.w = w
-        self.b = b
+    def __init__(self, fan_in: int, fan_out: int, bias: float = 0.0) -> None:
+        self.w = ParamBlock.unset((fan_in, fan_out))
+        self.b = ParamBlock(np.full((1, fan_out), float(bias)))
         self._x: np.ndarray | None = None
-
-    @classmethod
-    def create(
-        cls, fan_in: int, fan_out: int, rng: np.random.Generator | None, bias: float = 0.0
-    ) -> "AffineLayer":
-        shape = (fan_in, fan_out)  # with no rng the weights are unset, for a caller to bind
-        w = ParamBlock.unset(shape) if rng is None else ParamBlock(glorot_uniform(*shape, rng))
-        b = ParamBlock(np.full((1, fan_out), float(bias)))
-        return cls(w, b)
 
     def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
         """With keep=False the input is not cached (and an old cache is

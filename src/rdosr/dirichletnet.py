@@ -20,6 +20,7 @@ from .diffcore import (
     ParamBlock,
     ShapeError,
     as_matrix,
+    drawn,
     sigmoid,
     softplus,
 )
@@ -147,17 +148,14 @@ def _entropy_sparsity(s: np.ndarray):
 class StickHead:
     """Parallel u/beta affine layers composed into stick proportions."""
 
-    def __init__(self, u: AffineLayer, beta: AffineLayer) -> None:
-        if u.w.shape != beta.w.shape or u.b.shape != beta.b.shape:
-            raise ShapeError("u and beta heads must share shapes")
-        self.u = u
-        self.beta = beta
+    def __init__(self, in_width: int, c: int) -> None:
+        self.u = AffineLayer(in_width, c)
+        self.beta = AffineLayer(in_width, c)
         self._cache = None
 
     @classmethod
     def create(cls, in_width: int, c: int, rng: np.random.Generator | None) -> "StickHead":
-        # u draws its weights first, then beta
-        return cls(AffineLayer.create(in_width, c, rng), AffineLayer.create(in_width, c, rng))
+        return drawn(cls(in_width, c), rng)
 
     def forward(self, hidden: np.ndarray, keep: bool = True) -> np.ndarray:
         """Deterministic encoder map hidden -> s (Kumaraswamy, then sticks);

@@ -41,7 +41,8 @@ from .diffcore import (
     _l2_recon_mean,
     _softmax_xent,
     as_matrix,
-    glorot_uniform,
+    bind,
+    drawn,
     require_finite,
     softmax,
 )
@@ -175,43 +176,42 @@ class Stage2Record:
 # network builders
 
 
-def _relu_stack(width: int, hidden, rng: np.random.Generator | None, out_width=None) -> Stack:
+def _relu_stack(width: int, hidden, out_width=None) -> Stack:
     """Affine+relu layers of the given widths, then a linear map to
-    `out_width` if one is given. Layers draw their weights in order."""
+    `out_width` if one is given; every weight is unset."""
     layers = []
     for h in hidden:
-        layers += [AffineLayer.create(width, h, rng, bias=RELU_BIAS), ActivationLayer()]
+        layers += [AffineLayer(width, h, bias=RELU_BIAS), ActivationLayer()]
         width = h
     if out_width is not None:
-        layers.append(AffineLayer.create(width, out_width, rng))
+        layers.append(AffineLayer(width, out_width))
     return Stack(layers)
 
 
 def build_classifier_f(band_count: int, class_count: int, rng: np.random.Generator | None,
                        hidden=F_HIDDEN) -> Stack:
     """Embedding classifier: relu stack ending in linear logits of width L."""
-    return _relu_stack(band_count, hidden, rng, class_count)
+    return drawn(_relu_stack(band_count, hidden, class_count), rng)
 
 
 def build_encoder_e(in_width: int, rng: np.random.Generator | None, dirichlet: bool) -> Stack:
     """Encoder `Stack([trunk, head])`: a small relu trunk feeding either a
     stick-breaking head (Dirichlet modes) or a plain affine+relu
     representation layer of the same width."""
-    trunk = _relu_stack(in_width, E_HIDDEN, rng)
-    if dirichlet:
-        return Stack([trunk, StickHead.create(E_HIDDEN[-1], REPR_WIDTH, rng)])
-    return Stack([trunk, _relu_stack(E_HIDDEN[-1], (REPR_WIDTH,), rng)])
+    trunk = _relu_stack(in_width, E_HIDDEN)
+    head = StickHead(E_HIDDEN[-1], REPR_WIDTH) if dirichlet else _relu_stack(E_HIDDEN[-1], (REPR_WIDTH,))
+    return drawn(Stack([trunk, head]), rng)
 
 
 def build_decoder_d(out_width: int, rng: np.random.Generator | None) -> Stack:
     """Decoder: relu layer then a linear map whose weights are the shared
     bases the representations mix."""
-    return _relu_stack(REPR_WIDTH, (D_HIDDEN,), rng, out_width)
+    return drawn(_relu_stack(REPR_WIDTH, (D_HIDDEN,), out_width), rng)
 
 
 def build_classifier_c(class_count: int, rng: np.random.Generator | None) -> Stack:
     """Single affine map from the representation to known-class logits."""
-    return _relu_stack(REPR_WIDTH, (), rng, class_count)
+    return drawn(_relu_stack(REPR_WIDTH, (), class_count), rng)
 
 
 def one_hot(labels_dense: np.ndarray, class_count: int) -> np.ndarray:
@@ -385,7 +385,9 @@ def train_stage2(
     rng: np.random.Generator,
 ) -> list[Stage2Record]:
     """Joint Adam training of encoder, decoder, and classifier on frozen
-    embeddings, with the entropy weight decayed once per epoch."""
+    embeddings, with the entropy weight decayed once per epoch. E, D and C
+    must tile one buffer in that order, as a model's do; separately built
+    ones are tied by `bind(e.params() + d.params() + c.params())`."""
     z, _, y = _training_set(e, c, z, labels_dense, "stage 2")
     dirichlet = isinstance(e.layers[-1], StickHead)
 
@@ -510,9 +512,9 @@ class RdosrModel:
 
 def _build_model(config: TrainConfig, band_count: int, known: tuple, unknown: tuple,
                  train_fraction: float, normalizer: Normalizer, rng=None) -> RdosrModel:
-    """The model with fresh networks whose parameters and gradients are views
-    of one flat buffer each, in `named_params()` order. Weights are drawn from
-    `rng` in that order (F, E, D, C), or with no `rng` left for a checkpoint."""
+    """The model with fresh networks, bound in `named_params()` order: one
+    value and one gradient buffer for F, E, D and C together. Weights are
+    drawn from `rng` in that order, or with no `rng` left for a checkpoint."""
     f = build_classifier_f(band_count, len(known), None)
     e = d = c = None
     if config.mode != "softmax":
@@ -521,17 +523,7 @@ def _build_model(config: TrainConfig, band_count: int, known: tuple, unknown: tu
         d = build_decoder_d(e_width, None)
         c = build_classifier_c(len(known), None)
     model = RdosrModel(config, band_count, known, unknown, train_fraction, normalizer, f, e, d, c)
-    named = model.named_params()
-    values = np.empty(sum(p.value.size for _, p in named))
-    grads = np.zeros(values.size)  # fresh zero pages, untouched until written
-    at = 0
-    for name, p in named:
-        sl, shape = slice(at, at + p.value.size), p.shape
-        if name.endswith(".b"):
-            values[sl] = p.value.ravel()  # the layer's constant bias
-        elif rng is not None:
-            values[sl] = glorot_uniform(*shape, rng).ravel()
-        p.value, p.grad, at = values[sl].reshape(shape), grads[sl].reshape(shape), sl.stop
+    bind([p for _, p in model.named_params()], rng)
     return model
 
 

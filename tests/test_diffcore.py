@@ -12,6 +12,7 @@ from rdosr.diffcore import (
     ShapeError,
     affine,
     affine_backward,
+    bind,
     glorot_uniform,
     grad_check,
     l1_mean,
@@ -68,7 +69,8 @@ def test_affine_gradients_match_finite_differences():
 
 def test_affine_layer_backward_writes_the_bits_of_affine_backward():
     rng = np.random.default_rng(8)
-    layer = AffineLayer.create(64, 512, rng, bias=0.1)
+    layer = AffineLayer(64, 512, bias=0.1)
+    bind([layer.w, layer.b], rng)
     x = rng.normal(size=(256, 64))
     d_out = rng.normal(size=(256, 512))
     d_out[:, :3] = [0.0, -0.0, 1e-300]  # columns whose sums are exact or tiny
@@ -316,6 +318,7 @@ def test_batch_means_equal_np_mean_bit_for_bit(rows):
 
 def test_adam_first_step_closed_form():
     p = ParamBlock(np.array([[1.0]]))
+    bind([p])
     opt = Adam([p], lr=1e-3)
     p.grad[...] = 0.5
     opt.step()
@@ -329,6 +332,7 @@ def test_adam_first_step_closed_form():
 
 def test_adam_zero_gradient_leaves_parameter_unchanged():
     p = ParamBlock(np.array([[2.0, -3.0]]))
+    bind([p])
     opt = Adam([p])
     opt.step()
     assert np.array_equal(p.value, [[2.0, -3.0]])
@@ -337,6 +341,7 @@ def test_adam_zero_gradient_leaves_parameter_unchanged():
 
 def test_adam_descends_quadratic():
     p = ParamBlock(np.array([[1.0]]))
+    bind([p])
     opt = Adam([p], lr=1e-3)
     distances = [abs(p.value[0, 0])]
     for _ in range(2):
@@ -349,6 +354,7 @@ def test_adam_descends_quadratic():
 
 def test_adam_state_invariants():
     p = ParamBlock(np.zeros((2, 3)))
+    bind([p])
     opt = Adam([p])
     assert opt.first_moment.size == p.value.size
     for step in range(1, 4):
@@ -361,6 +367,7 @@ def test_adam_state_invariants():
 def test_adam_wrapper_zeroes_and_steps():
     rng = np.random.default_rng(2)
     params = [ParamBlock(rng.normal(size=(2, 2))) for _ in range(3)]
+    bind(params)
     opt = Adam(params, lr=1e-2)
     for p in params:
         p.grad[...] = 1.0
@@ -387,45 +394,52 @@ def _views_of_one_buffer(arrays, order, gap=0, lead=0):
     return blocks, values, grads
 
 
-def test_adam_rebinds_blocks_as_views_and_keeps_their_contents():
-    # blocks that do not tile one buffer in order are gathered into Adam's
+def test_adam_refuses_blocks_bind_did_not_lay_out_and_steps_bound_ones_in_place():
     rng = np.random.default_rng(8)
     init = [rng.normal(size=shape) for shape in ((3, 4), (1, 4), (5, 1))]
     for layout in ("own-arrays", "gapped-views", "reordered-views"):
-        params, buffers = [ParamBlock(a) for a in init], ()
+        params = [ParamBlock(a) for a in init]
         if layout != "own-arrays":
             order = [2, 0, 1] if layout == "reordered-views" else [0, 1, 2]
             gap = 2 if layout == "gapped-views" else 0
-            params, *buffers = _views_of_one_buffer(init, order, gap=gap)
-        params[1].grad[...] = 2.5
-        before = [(p.value.copy(), p.grad.copy()) for p in params]
-        opt = Adam(params)
-        for (p, sl), (value, grad) in zip(opt.pairs, before):
-            assert np.shares_memory(p.value, opt.value) and np.shares_memory(p.grad, opt.grad)
-            assert np.array_equal(p.value, value) and np.array_equal(p.grad, grad)
-            assert np.array_equal(opt.value[sl], value.ravel())
-        assert not any(np.shares_memory(b, opt.value) or np.shares_memory(b, opt.grad) for b in buffers)
-        opt.zero_grad()
-        assert not opt.grad.any() and not params[1].grad.any(), layout
+            params, _, _ = _views_of_one_buffer(init, order, gap=gap)
+        with pytest.raises(ShapeError, match="bind the blocks first") as err:
+            Adam(params)
+        assert "\n" not in str(err.value), layout
+    # bind keeps the values a block holds and gives it a zeroed gradient
+    params[1].grad[...] = 2.5
+    bind(params)
+    assert all(np.array_equal(p.value, a) and not p.grad.any() for p, a in zip(params, init))
+    arrays = [(p.value, p.grad) for p in params]
+    opt = Adam(params)
+    for p, _ in opt.pairs:
+        assert np.shares_memory(p.value, opt.value) and np.shares_memory(p.grad, opt.grad)
+    params[1].grad[...] = 1.0
+    opt.step()
+    assert all(p.value is v and p.grad is g for p, (v, g) in zip(params, arrays))
+    assert not np.array_equal(params[1].value, init[1]) and np.array_equal(params[0].value, init[0])
+    assert not opt.grad.any()
 
 
 def test_adam_matches_per_block_reference_bit_for_bit():
-    # "one-buffer" blocks tile one value and one gradient buffer after five
-    # unused elements, as a model's stage-2 networks follow F: Adam steps
-    # those buffers in place
+    # "own-arrays" blocks are bound first; "one-buffer" blocks tile one value
+    # and one gradient buffer after five unused elements, as a model's
+    # stage-2 networks follow F. Adam steps either layout in place
     rng = np.random.default_rng(6)
     shapes = [(64, 200), (1, 200), (200, 37), (1, 37), (37, 3), (1, 3), (1, 1)]
     assert sum(r * c for r, c in shapes) > ADAM_CHUNK
     for layout in ("own-arrays", "one-buffer"):
         init = [rng.normal(size=shape) for shape in shapes]
         flat = [ParamBlock(a) for a in init]
-        if layout == "one-buffer":
+        if layout == "own-arrays":
+            bind(flat)
+        else:
             flat, values, grads = _views_of_one_buffer(init, range(len(init)), lead=5)
         arrays = [(p.value, p.grad) for p in flat]
         ref = [ParamBlock(a) for a in init]
         opt, ref_opt = Adam(flat, lr=1e-2), ReferenceAdam(ref, lr=1e-2)
+        assert all(p.value is v and p.grad is g for p, (v, g) in zip(flat, arrays))
         if layout == "one-buffer":
-            assert all(p.value is v and p.grad is g for p, (v, g) in zip(flat, arrays))
             assert opt.value.base is values and opt.grad.base is grads
         for _ in range(5):
             for p, q in zip(flat, ref):

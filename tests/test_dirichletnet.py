@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdosr.diffcore import AffineLayer, DomainError, ParamBlock, grad_check
+from rdosr.diffcore import DomainError, ParamBlock, grad_check
 from rdosr.dirichletnet import (
     BETA_FLOOR,
     U_CLAMP,
@@ -299,9 +299,7 @@ def test_entropy_sparsity_matches_reference_bit_for_bit(case):
 def test_stickhead_matches_reference_head_bit_for_bit_with_clamps_active():
     rng = np.random.default_rng(64)
     head = StickHead.create(4, 10, rng)
-    ref = ReferenceStickHead(*(AffineLayer(ParamBlock(layer.w.value.copy()),
-                                           ParamBlock(layer.b.value.copy()))
-                               for layer in (head.u, head.beta)))
+    ref = ReferenceStickHead.create(4, 10, np.random.default_rng(64))  # the same draws
     hidden = rng.normal(size=(300, 4)) * np.repeat([1.0, 30.0, 1000.0], 100)[:, None]
     s = head.forward(hidden)
     ref_s = ref.forward(hidden)

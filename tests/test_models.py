@@ -13,6 +13,8 @@ from rdosr.diffcore import (
     ShapeError,
     Stack,
     affine,
+    bind,
+    glorot_uniform,
     grad_check,
 )
 from rdosr.dirichletnet import StickHead
@@ -149,6 +151,35 @@ def test_encoder_decoder_classifier_node_counts():
     assert [l.w.shape for l in d.layers if hasattr(l, "w")] == [(10, 10), (10, 9)]
     c = build_classifier_c(9, rng)
     assert c.layers[0].w.shape == (10, 9)
+
+
+_BUILDERS = {
+    "f": lambda rng: build_classifier_f(6, 3, rng, hidden=(5, 4)),
+    "e-stick": lambda rng: build_encoder_e(4, rng, dirichlet=True),
+    "e-plain": lambda rng: build_encoder_e(4, rng, dirichlet=False),
+    "d": lambda rng: build_decoder_d(4, rng),
+    "c": lambda rng: build_classifier_c(4, rng),
+    "stick-head": lambda rng: StickHead.create(3, 10, rng),
+}
+
+
+@pytest.mark.parametrize("net", _BUILDERS)
+def test_builders_draw_glorot_weights_in_param_order_into_one_buffer(net):
+    net = _BUILDERS[net](np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    for name, p in net.named_params(""):
+        if name.endswith(".w"):  # successive draws; a bias keeps its constant
+            assert np.array_equal(p.value, glorot_uniform(*p.shape, rng)), name
+    blocks = net.params()
+    _one_buffer([p.value for p in blocks])
+    assert not _one_buffer([p.grad for p in blocks]).any()
+
+
+def test_train_stage2_refuses_networks_bound_apart():
+    rng = np.random.default_rng(5)
+    e, d, c = build_encoder_e(3, rng, dirichlet=True), build_decoder_d(3, rng), build_classifier_c(3, rng)
+    with pytest.raises(ShapeError, match="bind the blocks first"):
+        train_stage2(e, d, c, rng.normal(size=(9, 3)), rng.integers(1, 4, size=9), TrainConfig(), rng)
 
 
 def test_plain_head_for_ae_cls():
@@ -398,6 +429,7 @@ def test_train_stage2_zero_epochs_is_identity():
     d = build_decoder_d(3, rng)
     c = build_classifier_c(3, rng)
     params = e.params() + d.params() + c.params()
+    bind(params)  # three builders give three buffers; stage 2 steps one
     before = pack(params).copy()
     cfg = TrainConfig(epochs_stage2=0)
     log = train_stage2(e, d, c, rng.normal(size=(9, 3)), rng.integers(1, 4, size=9), cfg, rng)
@@ -408,7 +440,9 @@ def test_train_stage2_zero_epochs_is_identity():
 def _stage2_nets():
     rng = np.random.default_rng(5)
     e = build_encoder_e(3, rng, dirichlet=True)
-    return e, build_decoder_d(3, rng), build_classifier_c(3, rng), rng
+    d, c = build_decoder_d(3, rng), build_classifier_c(3, rng)
+    bind(e.params() + d.params() + c.params())  # stage 2 steps one buffer
+    return e, d, c, rng
 
 
 def test_train_stage2_validates_once_per_run(monkeypatch):
