@@ -112,6 +112,14 @@ def _load_dataset(values: dict[str, str]) -> tuple[data.HsiDataset, Path, Path]:
     return dataset, cube_path, label_path
 
 
+def _require_directory(path: Path, parents: bool) -> None:
+    """Refuse, creating nothing, a directory that is missing or, with `parents`, cannot be made."""
+    while parents and path != path.parent and not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        raise CliError(f"{path} is not a directory")
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -160,10 +168,11 @@ def cmd_train(args) -> int:
     train_fraction = _coerce("train_fraction", values.get("train_fraction", "0.5"), float)
     config = build_train_config(values)
     dataset, cube_path, label_path = _load_dataset(values)
+    out = Path(args.out)
+    _require_directory(out, parents=True)
 
     model, logs, _ = models.train_pipeline(dataset, unknown, config, train_fraction)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     models.save_checkpoint(out / CHECKPOINT_NAME, model)
 
@@ -207,6 +216,8 @@ def _resolve_model_path(raw: str) -> Path:
 
 
 def cmd_eval(args) -> int:
+    if args.bins < 1:
+        raise CliError("--bins must be >= 1")
     model = models.load_checkpoint(_resolve_model_path(args.model))
     dataset, _, _ = _load_dataset({"cube": args.cube, "labels": args.labels})
     parts = data.split(
@@ -241,6 +252,7 @@ def cmd_sweep(args) -> int:
     train_fraction = _coerce("train_fraction", values.get("train_fraction", "0.5"), float)
     config = build_train_config(values)
     dataset, _, _ = _load_dataset(values)
+    _require_directory(Path(args.report).parent, parents=False)
     report = openset.sweep(dataset, config, train_fraction, jobs=args.jobs)
     openset.export_sweep(args.report, report)
     print(f"average_auc={report.average_auc:.4f}")

@@ -375,10 +375,10 @@ def synth_generate(
     n_bases = l_total * bases_per_class
     if bands < n_bases:
         raise DomainError(f"bands ({bands}) must be >= total bases ({n_bases})")
-    if dirichlet_alpha <= 0.0:
-        raise DomainError("dirichlet_alpha must be > 0")
-    if noise_sigma < 0.0:
-        raise DomainError("noise_sigma must be >= 0")
+    if not 0.0 < dirichlet_alpha < np.inf:
+        raise DomainError("dirichlet_alpha must be finite and > 0")
+    if not 0.0 <= noise_sigma < np.inf:
+        raise DomainError("noise_sigma must be finite and >= 0")
 
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, 1.0, bands)

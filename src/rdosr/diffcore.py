@@ -24,7 +24,6 @@ __all__ = [
     "require_finite",
     "ParamBlock",
     "bind",
-    "drawn",
     "Adam",
     "glorot_uniform",
     "affine",
@@ -88,7 +87,7 @@ class ParamBlock:
 
     @classmethod
     def unset(cls, shape: tuple[int, int]) -> "ParamBlock":
-        """A weight for `bind` to store: until then both arrays are read-only zeros in no memory."""
+        """A weight `bind` will store and draw: read-only zeros in no memory, refused by `models`."""
         block = cls.__new__(cls)
         block.value = block.grad = np.broadcast_to(0.0, shape)
         return block
@@ -194,13 +193,6 @@ def bind(blocks: Sequence[ParamBlock], rng: np.random.Generator | None = None) -
         elif rng is not None:
             values[sl] = glorot_uniform(*shape, rng).ravel()
         p.value, p.grad, at = values[sl].reshape(shape), grads[sl].reshape(shape), sl.stop
-
-
-def drawn(net, rng: np.random.Generator | None):
-    """`net` bound and drawn from `rng`; with no `rng`, unset for a caller to bind."""
-    if rng is not None:
-        bind(net.params(), rng)
-    return net
 
 
 def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,8 +19,8 @@ from .diffcore import (
     DomainError,
     ParamBlock,
     ShapeError,
+    Stack,
     as_matrix,
-    drawn,
     sigmoid,
     softplus,
 )
@@ -153,10 +153,6 @@ class StickHead:
         self.beta = AffineLayer(in_width, c)
         self._cache = None
 
-    @classmethod
-    def create(cls, in_width: int, c: int, rng: np.random.Generator | None) -> "StickHead":
-        return drawn(cls(in_width, c), rng)
-
     def forward(self, hidden: np.ndarray, keep: bool = True) -> np.ndarray:
         """Deterministic encoder map hidden -> s (Kumaraswamy, then sticks);
         keep=False keeps no backward cache. `hidden` is a matrix of the
@@ -187,8 +183,7 @@ class StickHead:
         d_hidden += self.beta.backward(d_beta * sigmoid(a_b))
         return d_hidden
 
-    def params(self) -> list[ParamBlock]:
-        return [p for _, p in self.named_params("")]
+    params = Stack.params
 
     def named_params(self, prefix: str) -> list[tuple[str, ParamBlock]]:
         return self.u.named_params(f"{prefix}.u") + self.beta.named_params(f"{prefix}.beta")

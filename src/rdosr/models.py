@@ -42,7 +42,6 @@ from .diffcore import (
     _softmax_xent,
     as_matrix,
     bind,
-    drawn,
     require_finite,
     softmax,
 )
@@ -188,30 +187,29 @@ def _relu_stack(width: int, hidden, out_width=None) -> Stack:
     return Stack(layers)
 
 
-def build_classifier_f(band_count: int, class_count: int, rng: np.random.Generator | None,
-                       hidden=F_HIDDEN) -> Stack:
+def build_classifier_f(band_count: int, class_count: int, hidden=F_HIDDEN) -> Stack:
     """Embedding classifier: relu stack ending in linear logits of width L."""
-    return drawn(_relu_stack(band_count, hidden, class_count), rng)
+    return _relu_stack(band_count, hidden, class_count)
 
 
-def build_encoder_e(in_width: int, rng: np.random.Generator | None, dirichlet: bool) -> Stack:
+def build_encoder_e(in_width: int, dirichlet: bool) -> Stack:
     """Encoder `Stack([trunk, head])`: a small relu trunk feeding either a
     stick-breaking head (Dirichlet modes) or a plain affine+relu
     representation layer of the same width."""
     trunk = _relu_stack(in_width, E_HIDDEN)
     head = StickHead(E_HIDDEN[-1], REPR_WIDTH) if dirichlet else _relu_stack(E_HIDDEN[-1], (REPR_WIDTH,))
-    return drawn(Stack([trunk, head]), rng)
+    return Stack([trunk, head])
 
 
-def build_decoder_d(out_width: int, rng: np.random.Generator | None) -> Stack:
+def build_decoder_d(out_width: int) -> Stack:
     """Decoder: relu layer then a linear map whose weights are the shared
     bases the representations mix."""
-    return drawn(_relu_stack(REPR_WIDTH, (D_HIDDEN,), out_width), rng)
+    return _relu_stack(REPR_WIDTH, (D_HIDDEN,), out_width)
 
 
-def build_classifier_c(class_count: int, rng: np.random.Generator | None) -> Stack:
+def build_classifier_c(class_count: int) -> Stack:
     """Single affine map from the representation to known-class logits."""
-    return drawn(_relu_stack(REPR_WIDTH, (), class_count), rng)
+    return _relu_stack(REPR_WIDTH, (), class_count)
 
 
 def one_hot(labels_dense: np.ndarray, class_count: int) -> np.ndarray:
@@ -232,37 +230,39 @@ def one_hot(labels_dense: np.ndarray, class_count: int) -> np.ndarray:
 # the layers and training steps behind them run on the checked arrays
 
 
-def _as_input(x, net, name: str) -> np.ndarray:
-    """`x` as a matrix as wide as the network's input."""
+def _as_input(x, nets: tuple, name: str) -> np.ndarray:
+    """`x` as a matrix as wide as the first network's input; every network must be bound."""
+    if any(not p.value.flags.writeable for net in nets for p in net.params()):
+        raise ShapeError("network has unset weights: bind(net.params(), rng) draws them")
     x = as_matrix(x, name)
     # every network here lists its input-facing weight matrix first
-    width = net.params()[0].shape[0]
+    width = nets[0].params()[0].shape[0]
     if x.shape[1] != width:
         raise ShapeError(f"{name} has {x.shape[1]} columns, the network takes {width}")
     return x
 
 
-def _batch(net_in, net_out: Stack, x, y_onehot) -> tuple[np.ndarray, np.ndarray]:
-    """A non-empty batch of network inputs and their one-hot labels."""
-    x = _as_input(x, net_in, "x")
+def _batch(nets: tuple, x, y_onehot) -> tuple[np.ndarray, np.ndarray]:
+    """A non-empty batch of the first network's inputs and the last one's one-hot labels."""
+    x = _as_input(x, nets, "x")
     y = as_matrix(y_onehot, "onehot")
-    expected = (x.shape[0], net_out.layers[-1].w.shape[1])
+    expected = (x.shape[0], nets[-1].layers[-1].w.shape[1])
     if x.shape[0] == 0 or y.shape != expected:
         raise ShapeError(f"one-hot labels have shape {y.shape}, expected non-empty {expected}")
     _check_onehot(y)
     return x, y
 
 
-def _training_set(net_in, net_out: Stack, x, labels_dense, stage: str):
+def _training_set(nets: tuple, x, labels_dense, stage: str):
     """Checked once per run: returns (x, labels, onehot). The one-hot is
     valid by construction, so the steps need not check it again."""
-    x = _as_input(x, net_in, f"{stage} inputs")
+    x = _as_input(x, nets, f"{stage} inputs")
     if x.shape[0] == 0:
         raise DomainError(f"{stage}: empty training set")
     labels = np.asarray(labels_dense)
     if labels.shape != (x.shape[0],):
         raise ShapeError(f"{stage}: labels have shape {labels.shape}, expected ({x.shape[0]},)")
-    return x, labels, one_hot(labels, net_out.layers[-1].w.shape[1])
+    return x, labels, one_hot(labels, nets[-1].layers[-1].w.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def stage1_loss(f: Stack, x, y_onehot, lambda_f: float, lambda_z: float, backwar
     """Closed-set objective: lambda_f * cross-entropy + lambda_z * mean L1 of
     the embedding logits. Returns (loss, logits); with backward=True each
     parameter's gradient is written and F drops its backward caches."""
-    x, y = _batch(f, f, x, y_onehot)
+    x, y = _batch((f,), x, y_onehot)
     return _stage1_loss(f, x, y, lambda_f, lambda_z, backward)
 
 
@@ -304,7 +304,7 @@ def stage2_loss(
     Returns (loss, (recon, entropy, xent)). Gradients flow to the encoder,
     decoder, and classifier parameters only; z is treated as a constant.
     """
-    z, y = _batch(e, c, z, y_onehot)
+    z, y = _batch((e, d, c), z, y_onehot)
     return _stage2_loss(e, d, c, z, y, lambda_r, lambda_s_eff, lambda_c, backward)
 
 
@@ -357,7 +357,7 @@ def train_stage1(
     """Minibatch Adam on the closed-set objective until the accuracy target or
     the epoch cap. Accuracy is aggregated from the training forward passes.
     Returns the per-epoch log; the classifier is trained in place."""
-    pixels, labels, y = _training_set(f, f, pixels, labels_dense, "stage 1")
+    pixels, labels, y = _training_set((f,), pixels, labels_dense, "stage 1")
     lam_z = effective_lambda_z(config)
 
     def step(rows, epoch):
@@ -386,9 +386,9 @@ def train_stage2(
 ) -> list[Stage2Record]:
     """Joint Adam training of encoder, decoder, and classifier on frozen
     embeddings, with the entropy weight decayed once per epoch. E, D and C
-    must tile one buffer in that order, as a model's do; separately built
-    ones are tied by `bind(e.params() + d.params() + c.params())`."""
-    z, _, y = _training_set(e, c, z, labels_dense, "stage 2")
+    must tile one buffer in that order, as a model's do: built networks are
+    drawn into one by `bind(e.params() + d.params() + c.params(), rng)`."""
+    z, _, y = _training_set((e, d, c), z, labels_dense, "stage 2")
     dirichlet = isinstance(e.layers[-1], StickHead)
 
     def step(rows, epoch):
@@ -434,7 +434,7 @@ def embed(f: Stack, x: np.ndarray, scale: float) -> np.ndarray:
     Forward only, in row blocks: F keeps no backward cache."""
     if scale <= 0.0:
         raise DomainError("embedding scale must be > 0")
-    x = _as_input(x, f, "x")
+    x = _as_input(x, (f,), "x")
 
     def block(xb):
         z = f.forward(xb, keep=False)
@@ -512,16 +512,16 @@ class RdosrModel:
 
 def _build_model(config: TrainConfig, band_count: int, known: tuple, unknown: tuple,
                  train_fraction: float, normalizer: Normalizer, rng=None) -> RdosrModel:
-    """The model with fresh networks, bound in `named_params()` order: one
-    value and one gradient buffer for F, E, D and C together. Weights are
-    drawn from `rng` in that order, or with no `rng` left for a checkpoint."""
-    f = build_classifier_f(band_count, len(known), None)
+    """The model with fresh networks, bound by one `bind` in `named_params()`
+    order: one value and one gradient buffer for F, E, D and C together.
+    Weights are drawn from `rng` in that order, or with no `rng` left for a checkpoint."""
+    f = build_classifier_f(band_count, len(known))
     e = d = c = None
     if config.mode != "softmax":
         e_width = band_count if config.space == "image" else len(known)
-        e = build_encoder_e(e_width, None, dirichlet=config.mode in ("rdosr", "ae_cls_dirichlet"))
-        d = build_decoder_d(e_width, None)
-        c = build_classifier_c(len(known), None)
+        e = build_encoder_e(e_width, dirichlet=config.mode in ("rdosr", "ae_cls_dirichlet"))
+        d = build_decoder_d(e_width)
+        c = build_classifier_c(len(known))
     model = RdosrModel(config, band_count, known, unknown, train_fraction, normalizer, f, e, d, c)
     bind([p for _, p in model.named_params()], rng)
     return model

@@ -18,6 +18,7 @@ from rdosr.data import synth_generate
 from rdosr.diffcore import (
     ActivationLayer,
     ParamBlock,
+    bind,
     grad_check,
     l1_mean,
     l2_recon_mean,
@@ -208,7 +209,8 @@ def _entropy_instance(seed):
 
 def _stickhead_instance(seed):
     rng = np.random.default_rng(seed)
-    head = StickHead.create(3, 10, rng)
+    head = StickHead(3, 10)
+    bind(head.params(), rng)
     hidden = ParamBlock(rng.normal(size=(5, 3)))
     params = head.params() + [hidden]
     randomize(head.params(), rng)
@@ -225,7 +227,8 @@ def _stage1_instance(seed):
     # reduced hidden widths keep the probe count tractable; the layer code is
     # width-independent
     rng = np.random.default_rng(seed)
-    f = build_classifier_f(6, 3, rng, hidden=(5, 4))
+    f = build_classifier_f(6, 3, hidden=(5, 4))
+    bind(f.params(), rng)
     params = f.params()
     randomize(params, rng)
     x = rng.normal(size=(8, 6))
@@ -244,10 +247,11 @@ def _stage1_instance(seed):
 def _stage2_instance(seed):
     rng = np.random.default_rng(seed)
     l_known = 5
-    e = build_encoder_e(l_known, rng, dirichlet=True)
-    d = build_decoder_d(l_known, rng)
-    c = build_classifier_c(l_known, rng)
+    e = build_encoder_e(l_known, dirichlet=True)
+    d = build_decoder_d(l_known)
+    c = build_classifier_c(l_known)
     params = e.params() + d.params() + c.params()
+    bind(params, rng)
     randomize(params, rng)
     z = rng.normal(size=(10, l_known)) * 0.5
     y = one_hot(rng.integers(1, l_known + 1, size=10), l_known)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdosr import cli, models
+from rdosr import cli, models, openset
 from rdosr.data import (
     Cube,
     FormatError,
@@ -105,6 +105,18 @@ def test_synth_rejects_single_class(tmp_path, capsys):
     )
     assert rc == 2
     assert "classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--alpha", "inf"),
+                                         ("--noise-sigma", "inf"), ("--noise-sigma", "nan")])
+def test_synth_non_finite_parameter_exit_2_and_writes_nothing(tmp_path, capsys, flag, value):
+    out = tmp_path / "data"
+    rc = cli.main(["synth", "--out", str(out), "--classes", "3", "--bands", "12",
+                   "--per-class", "5", flag, value])
+    assert rc == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "must be finite" in line
+    assert not out.exists()
 
 
 def test_synth_unwritable_path(capsys):
@@ -287,6 +299,23 @@ def test_train_six_class_holdout_yields_five_known(tmp_path):
     assert model.f.layers[-1].w.shape[1] == 5
 
 
+def _refuse_to_run(monkeypatch, module, name):
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail(f"{name} ran"))
+
+
+@pytest.mark.parametrize("out", ["afile/sub", "afile"])
+def test_train_unwritable_out_exit_2_before_training(synth_dir, tmp_path, capsys, monkeypatch, out):
+    (tmp_path / "afile").write_text("keep\n")
+    _refuse_to_run(monkeypatch, models, "train_pipeline")
+    rc = cli.main(
+        ["train", "--cube", str(synth_dir / "cube.hsid"), "--labels",
+         str(synth_dir / "labels.hsil"), "--unknown", "4", "--out", str(tmp_path / out)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path / 'afile'} is not a directory"]
+    assert (tmp_path / "afile").read_text() == "keep\n"
+
+
 def test_train_bad_cube_path_exit_2(tmp_path, capsys):
     rc = cli.main(
         ["train", "--cube", "/does/not/exist.hsid", "--labels", "/x.hsil",
@@ -366,6 +395,22 @@ def test_eval_prints_metrics_and_exports(synth_dir, trained_dir, tmp_path, capsy
     assert hist_lines[0] == "bin_lo,bin_hi,count_known,count_unknown"
     assert len(hist_lines) == 21
 
+
+
+def test_eval_bins_below_one_exit_2_before_any_output(synth_dir, trained_dir, tmp_path, capsys,
+                                                     monkeypatch):
+    _refuse_to_run(monkeypatch, models, "load_checkpoint")
+    roc_path = tmp_path / "roc.csv"
+    for hist in ([], ["--hist-out", str(tmp_path / "hist.csv")]):
+        rc = cli.main(
+            ["eval", "--model", str(trained_dir), "--cube", str(synth_dir / "cube.hsid"),
+             "--labels", str(synth_dir / "labels.hsil"), "--roc-out", str(roc_path),
+             "--bins", "0", *hist]
+        )
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.splitlines() == ["error: --bins must be >= 1"]
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_eval_runs_f_once_per_scored_pixel(synth_dir, trained_dir, monkeypatch, capsys):
@@ -714,6 +759,22 @@ def test_sweep_jobs_below_one_exit_2(synth_dir, config_file, tmp_path, capsys, j
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "jobs" in err
     assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("parent", ["afile", "nodir"])
+def test_sweep_unwritable_report_exit_2_before_the_sweep(synth_dir, tmp_path, capsys,
+                                                         monkeypatch, parent):
+    # a report is written into a directory that must exist
+    (tmp_path / "afile").write_text("keep\n")
+    _refuse_to_run(monkeypatch, openset, "sweep")
+    rc = cli.main(
+        ["sweep", "--cube", str(synth_dir / "cube.hsid"), "--labels",
+         str(synth_dir / "labels.hsil"), "--report", str(tmp_path / parent / "report.csv")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path / parent} is not a directory"]
+    assert (tmp_path / "afile").read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 # a worker that dies without raising: the pool breaks under the sweep

@@ -367,3 +367,11 @@ def test_synth_parameter_validation():
         synth_generate(l_total=3, bands=12, per_class=5, dirichlet_alpha=0.0)
     with pytest.raises(DomainError):
         synth_generate(l_total=3, bands=12, per_class=5, noise_sigma=-0.1)
+    # a NaN or an infinity would make every value non-finite, or (a NaN
+    # sigma) silently add no noise
+    for alpha in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="dirichlet_alpha must be finite"):
+            synth_generate(l_total=3, bands=12, per_class=5, dirichlet_alpha=alpha)
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="noise_sigma must be finite"):
+            synth_generate(l_total=3, bands=12, per_class=5, noise_sigma=sigma)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdosr.diffcore import DomainError, ParamBlock, grad_check
+from rdosr.diffcore import DomainError, ParamBlock, bind, grad_check
 from rdosr.dirichletnet import (
     BETA_FLOOR,
     U_CLAMP,
@@ -202,7 +202,8 @@ def test_entropy_gradient_matches_finite_differences():
 
 
 def test_stickhead_zero_weights_constant_sanity():
-    head = StickHead.create(3, 10, np.random.default_rng(0))
+    head = StickHead(3, 10)
+    bind(head.params(), np.random.default_rng(0))
     for p in head.params():
         p.value[...] = 0.0
     s = head.forward(np.random.default_rng(1).normal(size=(4, 3)))
@@ -214,7 +215,8 @@ def test_stickhead_zero_weights_constant_sanity():
 
 def test_stickhead_output_invariants_random():
     rng = np.random.default_rng(5)
-    head = StickHead.create(6, 10, rng)
+    head = StickHead(6, 10)
+    bind(head.params(), rng)
     s = head.forward(rng.normal(size=(200, 6)) * 3.0)
     assert (s >= 0.0).all()
     assert (s.sum(axis=1) <= 1.0 + 1e-12).all()
@@ -222,7 +224,8 @@ def test_stickhead_output_invariants_random():
 
 def test_stickhead_gradients_match_finite_differences():
     rng = np.random.default_rng(41)
-    head = StickHead.create(3, 10, rng)
+    head = StickHead(3, 10)
+    bind(head.params(), rng)
     hidden = ParamBlock(rng.normal(size=(6, 3)))
     params = head.params() + [hidden]
 
@@ -298,8 +301,9 @@ def test_entropy_sparsity_matches_reference_bit_for_bit(case):
 
 def test_stickhead_matches_reference_head_bit_for_bit_with_clamps_active():
     rng = np.random.default_rng(64)
-    head = StickHead.create(4, 10, rng)
-    ref = ReferenceStickHead.create(4, 10, np.random.default_rng(64))  # the same draws
+    head, ref = StickHead(4, 10), ReferenceStickHead(4, 10)
+    bind(head.params(), rng)
+    bind(ref.params(), np.random.default_rng(64))  # the same draws
     hidden = rng.normal(size=(300, 4)) * np.repeat([1.0, 30.0, 1000.0], 100)[:, None]
     s = head.forward(hidden)
     ref_s = ref.forward(hidden)

@@ -135,37 +135,37 @@ def test_lambda_z_applies_to_full_method_only():
 
 
 def test_classifier_f_node_counts():
-    f = build_classifier_f(103, 9, np.random.default_rng(0))
+    f = build_classifier_f(103, 9)
     widths = [layer.w.shape for layer in f.layers[::2]]
     assert widths == [(103, 512), (512, 1024), (1024, 512), (512, 32), (32, 9)]
 
 
 def test_encoder_decoder_classifier_node_counts():
-    rng = np.random.default_rng(0)
-    e = build_encoder_e(9, rng, dirichlet=True)
+    e = build_encoder_e(9, dirichlet=True)
     trunk_widths = [layer.w.shape for layer in e.layers[0].layers[::2]]
     assert trunk_widths == [(9, 3), (3, 3), (3, 3), (3, 3)]
     assert e.layers[1].u.w.shape == (3, 10)
     assert e.layers[1].beta.w.shape == (3, 10)
-    d = build_decoder_d(9, rng)
+    d = build_decoder_d(9)
     assert [l.w.shape for l in d.layers if hasattr(l, "w")] == [(10, 10), (10, 9)]
-    c = build_classifier_c(9, rng)
+    c = build_classifier_c(9)
     assert c.layers[0].w.shape == (10, 9)
 
 
 _BUILDERS = {
-    "f": lambda rng: build_classifier_f(6, 3, rng, hidden=(5, 4)),
-    "e-stick": lambda rng: build_encoder_e(4, rng, dirichlet=True),
-    "e-plain": lambda rng: build_encoder_e(4, rng, dirichlet=False),
-    "d": lambda rng: build_decoder_d(4, rng),
-    "c": lambda rng: build_classifier_c(4, rng),
-    "stick-head": lambda rng: StickHead.create(3, 10, rng),
+    "f": lambda: build_classifier_f(6, 3, hidden=(5, 4)),
+    "e-stick": lambda: build_encoder_e(4, dirichlet=True),
+    "e-plain": lambda: build_encoder_e(4, dirichlet=False),
+    "d": lambda: build_decoder_d(4),
+    "c": lambda: build_classifier_c(4),
+    "stick-head": lambda: StickHead(3, 10),
 }
 
 
 @pytest.mark.parametrize("net", _BUILDERS)
 def test_builders_draw_glorot_weights_in_param_order_into_one_buffer(net):
-    net = _BUILDERS[net](np.random.default_rng(11))
+    net = _BUILDERS[net]()
+    bind(net.params(), np.random.default_rng(11))
     rng = np.random.default_rng(11)
     for name, p in net.named_params(""):
         if name.endswith(".w"):  # successive draws; a bias keeps its constant
@@ -177,13 +177,49 @@ def test_builders_draw_glorot_weights_in_param_order_into_one_buffer(net):
 
 def test_train_stage2_refuses_networks_bound_apart():
     rng = np.random.default_rng(5)
-    e, d, c = build_encoder_e(3, rng, dirichlet=True), build_decoder_d(3, rng), build_classifier_c(3, rng)
+    e, d, c = build_encoder_e(3, dirichlet=True), build_decoder_d(3), build_classifier_c(3)
+    for net in (e, d, c):
+        bind(net.params(), rng)  # three buffers
     with pytest.raises(ShapeError, match="bind the blocks first"):
         train_stage2(e, d, c, rng.normal(size=(9, 3)), rng.integers(1, 4, size=9), TrainConfig(), rng)
 
 
+def _refuses_unbound(run) -> None:
+    with pytest.raises(ShapeError, match=r"unset weights: bind\(net.params\(\), rng\)") as err:
+        run()
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("entry", ["embed", "stage1_loss", "train_stage1"])
+def test_stage1_entries_refuse_an_unbound_classifier(monkeypatch, entry):
+    # unbound, F would compute with zero weights (and backward could not write)
+    monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("a step ran"))
+    rng = np.random.default_rng(3)
+    f = build_classifier_f(4, 2, hidden=(3,))
+    x, labels = rng.normal(size=(6, 4)), np.array([1, 2] * 3)
+    _refuses_unbound({
+        "embed": lambda: embed(f, x, 10.0),
+        "stage1_loss": lambda: stage1_loss(f, x, one_hot(labels, 2), 1.0, 0.1, backward=True),
+        "train_stage1": lambda: train_stage1(f, x, labels, quick_config(epochs_stage1=1), rng),
+    }[entry])
+
+
+@pytest.mark.parametrize("entry", ["stage2_loss", "train_stage2"])
+def test_stage2_entries_refuse_any_unbound_network(monkeypatch, entry):
+    monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("a step ran"))
+    rng = np.random.default_rng(4)
+    e, d, c = build_encoder_e(3, dirichlet=True), build_decoder_d(3), build_classifier_c(3)
+    bind(e.params() + c.params(), rng)  # the decoder alone is left unset
+    z, labels = rng.normal(size=(6, 3)), np.array([1, 2, 3] * 2)
+    _refuses_unbound({
+        "stage2_loss": lambda: stage2_loss(e, d, c, z, one_hot(labels, 3), 0.5, 1e-3, 0.5, True),
+        "train_stage2": lambda: train_stage2(e, d, c, z, labels, quick_config(epochs_stage2=1), rng),
+    }[entry])
+
+
 def test_plain_head_for_ae_cls():
-    e = build_encoder_e(5, np.random.default_rng(1), dirichlet=False)
+    e = build_encoder_e(5, dirichlet=False)
+    bind(e.params(), np.random.default_rng(1))
     assert not isinstance(e.layers[1], StickHead)
     s = e.forward(np.random.default_rng(2).normal(size=(7, 5)))
     assert s.shape == (7, 10)
@@ -206,7 +242,8 @@ def test_train_stage1_rejects_fractional_labels_before_a_step(monkeypatch):
     steps = []
     monkeypatch.setattr(Adam, "step", lambda self: steps.append(self))
     rng = np.random.default_rng(8)
-    f = build_classifier_f(4, 3, rng, hidden=(5,))
+    f = build_classifier_f(4, 3, hidden=(5,))
+    bind(f.params(), rng)
     with pytest.raises(DomainError):
         train_stage1(f, rng.normal(size=(6, 4)), np.array([1.0, 2.0, 3.0, 1.5, 2.0, 2.9]),
                      quick_config(epochs_stage1=2), rng)
@@ -219,7 +256,8 @@ def test_train_stage1_rejects_fractional_labels_before_a_step(monkeypatch):
 
 def test_stage1_loss_perfect_confident_logits():
     rng = np.random.default_rng(3)
-    f = build_classifier_f(4, 2, rng, hidden=(3,))
+    f = build_classifier_f(4, 2, hidden=(3,))
+    bind(f.params(), rng)
     f.layers[-1].b.value[...] = 0.0
     x = rng.normal(size=(5, 4))
     y = np.zeros((5, 2))
@@ -232,7 +270,8 @@ def test_stage1_loss_perfect_confident_logits():
 
 def test_stage1_loss_zero_embedding():
     rng = np.random.default_rng(4)
-    f = build_classifier_f(4, 3, rng, hidden=(3,))
+    f = build_classifier_f(4, 3, hidden=(3,))
+    bind(f.params(), rng)
     f.layers[-1].w.value[...] = 0.0
     f.layers[-1].b.value[...] = 0.0
     loss, logits = stage1_loss(f, rng.normal(size=(6, 4)), one_hot(np.ones(6, dtype=int), 3), 0.0, 1.0)
@@ -242,7 +281,8 @@ def test_stage1_loss_zero_embedding():
 
 def _fresh_stage1_instance(seed):
     rng = np.random.default_rng(seed)
-    f = build_classifier_f(6, 3, rng, hidden=(5, 4))
+    f = build_classifier_f(6, 3, hidden=(5, 4))
+    bind(f.params(), rng)
     params = f.params()
     randomize(params, rng)
     x = rng.normal(size=(8, 6))
@@ -271,10 +311,11 @@ def test_stage1_gradients_match_finite_differences():
 
 def _fresh_stage2_instance(seed, dirichlet=True, l_known=5):
     rng = np.random.default_rng(seed)
-    e = build_encoder_e(l_known, rng, dirichlet=dirichlet)
-    d = build_decoder_d(l_known, rng)
-    c = build_classifier_c(l_known, rng)
+    e = build_encoder_e(l_known, dirichlet=dirichlet)
+    d = build_decoder_d(l_known)
+    c = build_classifier_c(l_known)
     params = e.params() + d.params() + c.params()
+    bind(params, rng)  # one buffer, drawn in that order
     randomize(params, rng)
     z = rng.normal(size=(10, l_known)) * 0.5
     y = one_hot(rng.integers(1, l_known + 1, size=10), l_known)
@@ -303,9 +344,10 @@ def test_stage2_gradients_match_finite_differences():
 
 def test_stage2_loss_perfect_reconstruction_one_hot_s():
     rng = np.random.default_rng(8)
-    e = build_encoder_e(2, rng, dirichlet=False)
-    d = build_decoder_d(2, rng)
-    c = build_classifier_c(2, rng)
+    e = build_encoder_e(2, dirichlet=False)
+    d = build_decoder_d(2)
+    c = build_classifier_c(2)
+    bind(e.params() + d.params() + c.params(), rng)
     # constant one-hot representation via biases, decoder emits exactly z
     for p in e.params():
         p.value[...] = 0.0
@@ -324,9 +366,10 @@ def test_stage2_loss_perfect_reconstruction_one_hot_s():
 
 def test_stage2_loss_uniform_s_entropy_bound():
     rng = np.random.default_rng(9)
-    e = build_encoder_e(3, rng, dirichlet=False)
-    d = build_decoder_d(3, rng)
-    c = build_classifier_c(3, rng)
+    e = build_encoder_e(3, dirichlet=False)
+    d = build_decoder_d(3)
+    c = build_classifier_c(3)
+    bind(e.params() + d.params() + c.params(), rng)
     for p in e.params():
         p.value[...] = 0.0
     e.layers[1].layers[0].b.value[...] = 0.25  # uniform positive representation
@@ -346,7 +389,8 @@ def test_train_stage1_linearly_separable_two_classes():
     rng = np.random.default_rng(12)
     x = np.concatenate([rng.normal(-2.0, 0.3, size=(100, 8)), rng.normal(2.0, 0.3, size=(100, 8))])
     labels = np.concatenate([np.ones(100, dtype=np.int64), np.full(100, 2, dtype=np.int64)])
-    f = build_classifier_f(8, 2, np.random.default_rng(0))
+    f = build_classifier_f(8, 2)
+    bind(f.params(), np.random.default_rng(0))
     cfg = TrainConfig(seed=0, epochs_stage1=500, batch_size=64, stage1_target_accuracy=1.0)
     log = train_stage1(f, x, labels, cfg, np.random.default_rng(cfg.seed))
     assert log[-1].accuracy == 1.0
@@ -359,7 +403,8 @@ def test_train_stage1_loss_trend_is_downward():
     rng = np.random.default_rng(14)
     x = np.concatenate([rng.normal(-0.5, 1.0, size=(150, 10)), rng.normal(0.5, 1.0, size=(150, 10))])
     labels = np.concatenate([np.ones(150, dtype=np.int64), np.full(150, 2, dtype=np.int64)])
-    f = build_classifier_f(10, 2, np.random.default_rng(3))
+    f = build_classifier_f(10, 2)
+    bind(f.params(), np.random.default_rng(3))
     cfg = TrainConfig(seed=3, epochs_stage1=40, batch_size=64, stage1_target_accuracy=1.0)
     log = train_stage1(f, x, labels, cfg, np.random.default_rng(cfg.seed))
     losses = [rec.loss for rec in log]
@@ -368,7 +413,8 @@ def test_train_stage1_loss_trend_is_downward():
 
 def test_train_stage1_zero_epochs_is_identity():
     rng = np.random.default_rng(1)
-    f = build_classifier_f(6, 2, rng, hidden=(4,))
+    f = build_classifier_f(6, 2, hidden=(4,))
+    bind(f.params(), rng)
     before = pack(f.params()).copy()
     cfg = TrainConfig(epochs_stage1=0)
     log = train_stage1(f, rng.normal(size=(10, 6)), np.ones(10, dtype=np.int64) + np.arange(10) % 2, cfg, rng)
@@ -382,7 +428,8 @@ def test_train_stage1_deterministic_trajectories():
     labels = rng.integers(1, 3, size=50)
     runs = []
     for _ in range(2):
-        f = build_classifier_f(6, 2, np.random.default_rng(9), hidden=(8,))
+        f = build_classifier_f(6, 2, hidden=(8,))
+        bind(f.params(), np.random.default_rng(9))
         cfg = TrainConfig(seed=9, epochs_stage1=20, batch_size=16, stage1_target_accuracy=1.0)
         train_stage1(f, x, labels, cfg, np.random.default_rng(cfg.seed))
         runs.append(pack(f.params()))
@@ -392,7 +439,8 @@ def test_train_stage1_deterministic_trajectories():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # it diverges on purpose
 def test_train_stage1_aborts_on_divergence():
     rng = np.random.default_rng(3)
-    f = build_classifier_f(4, 2, rng, hidden=(4,))
+    f = build_classifier_f(4, 2, hidden=(4,))
+    bind(f.params(), rng)
     x = rng.normal(size=(8, 4))
     x[0, 0] = np.inf  # inf - inf inside the stack turns the loss into nan
     with pytest.raises(NumericError, match="stage 1"):
@@ -425,11 +473,11 @@ def test_train_stage2_reduces_reconstruction_tenfold():
 
 def test_train_stage2_zero_epochs_is_identity():
     rng = np.random.default_rng(5)
-    e = build_encoder_e(3, rng, dirichlet=True)
-    d = build_decoder_d(3, rng)
-    c = build_classifier_c(3, rng)
+    e = build_encoder_e(3, dirichlet=True)
+    d = build_decoder_d(3)
+    c = build_classifier_c(3)
     params = e.params() + d.params() + c.params()
-    bind(params)  # three builders give three buffers; stage 2 steps one
+    bind(params, rng)  # one buffer, drawn in that order
     before = pack(params).copy()
     cfg = TrainConfig(epochs_stage2=0)
     log = train_stage2(e, d, c, rng.normal(size=(9, 3)), rng.integers(1, 4, size=9), cfg, rng)
@@ -439,9 +487,9 @@ def test_train_stage2_zero_epochs_is_identity():
 
 def _stage2_nets():
     rng = np.random.default_rng(5)
-    e = build_encoder_e(3, rng, dirichlet=True)
-    d, c = build_decoder_d(3, rng), build_classifier_c(3, rng)
-    bind(e.params() + d.params() + c.params())  # stage 2 steps one buffer
+    e = build_encoder_e(3, dirichlet=True)
+    d, c = build_decoder_d(3), build_classifier_c(3)
+    bind(e.params() + d.params() + c.params(), rng)  # stage 2 steps one buffer
     return e, d, c, rng
 
 
@@ -527,14 +575,16 @@ def test_stage2_never_modifies_classifier_f():
 
 def test_embed_identity_scale_returns_logits():
     rng = np.random.default_rng(6)
-    f = build_classifier_f(4, 3, rng, hidden=(4,))
+    f = build_classifier_f(4, 3, hidden=(4,))
+    bind(f.params(), rng)
     x = rng.normal(size=(5, 4))
     assert np.array_equal(embed(f, x, 1.0), f.forward(x))
 
 
 def test_embed_divides_by_scale():
     rng = np.random.default_rng(7)
-    f = build_classifier_f(2, 2, rng, hidden=(2,))
+    f = build_classifier_f(2, 2, hidden=(2,))
+    bind(f.params(), rng)
     f.layers[-1].w.value[...] = 0.0
     f.layers[-1].b.value[...] = [[10.0, -10.0]]
     out = embed(f, np.zeros((1, 2)), 10.0)
@@ -762,7 +812,8 @@ _STEP_BOUND = 2 * 256 * sum(F_HIDDEN) * 8
 
 def test_stage1_step_peak_memory_stays_below_twice_the_activations():
     rng = np.random.default_rng(0)
-    f = build_classifier_f(64, 5, rng)
+    f = build_classifier_f(64, 5)
+    bind(f.params(), rng)
     Adam(f.params()).zero_grad()  # gradients live in the flat buffer, as in training
     x = rng.normal(size=(256, 64))
     y = one_hot(rng.integers(1, 6, size=256), 5)

@@ -136,7 +136,7 @@ def _epoch_batches(n, batch_size, rng):
 def reference_train_stage1(f, pixels, labels_dense, config, rng):
     """Stage 1 as its own epoch loop: the reference the shared loop of
     `train_stage1` must match in checkpoint bytes and log values."""
-    pixels, labels, y = _training_set(f, f, pixels, labels_dense, "stage 1")
+    pixels, labels, y = _training_set((f,), pixels, labels_dense, "stage 1")
     n = pixels.shape[0]
     lam_z = effective_lambda_z(config)
     opt = Adam(f.params(), lr=config.lr)
@@ -162,7 +162,7 @@ def reference_train_stage1(f, pixels, labels_dense, config, rng):
 def reference_train_stage2(e, d, c, z, labels_dense, config, rng):
     """Stage 2 as its own epoch loop, with the entropy weight set once per
     epoch: the reference for `train_stage2`."""
-    z, _, y = _training_set(e, c, z, labels_dense, "stage 2")
+    z, _, y = _training_set((e, d, c), z, labels_dense, "stage 2")
     n = z.shape[0]
     dirichlet = isinstance(e.layers[-1], StickHead)
     opt = Adam(e.params() + d.params() + c.params(), lr=config.lr)
