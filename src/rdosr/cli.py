@@ -120,6 +120,13 @@ def _require_directory(path: Path, parents: bool) -> None:
         raise CliError(f"{path} is not a directory")
 
 
+def _require_output_file(path: Path) -> None:
+    """Refuse, creating nothing, a file path that is a directory or lies in no directory."""
+    _require_directory(path.parent, parents=False)
+    if path.is_dir():
+        raise CliError(f"{path} is a directory")
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -218,6 +225,8 @@ def _resolve_model_path(raw: str) -> Path:
 def cmd_eval(args) -> int:
     if args.bins < 1:
         raise CliError("--bins must be >= 1")
+    for out in filter(None, (args.roc_out, args.hist_out)):
+        _require_output_file(Path(out))
     model = models.load_checkpoint(_resolve_model_path(args.model))
     dataset, _, _ = _load_dataset({"cube": args.cube, "labels": args.labels})
     parts = data.split(
@@ -252,7 +261,7 @@ def cmd_sweep(args) -> int:
     train_fraction = _coerce("train_fraction", values.get("train_fraction", "0.5"), float)
     config = build_train_config(values)
     dataset, _, _ = _load_dataset(values)
-    _require_directory(Path(args.report).parent, parents=False)
+    _require_output_file(Path(args.report))
     report = openset.sweep(dataset, config, train_fraction, jobs=args.jobs)
     openset.export_sweep(args.report, report)
     print(f"average_auc={report.average_auc:.4f}")

@@ -404,29 +404,27 @@ def train_stage2(
 
 
 # ---------------------------------------------------------------------------
-# forward-only passes in fixed row blocks: peak memory is one block's
+# forward-only passes in equal row blocks: peak memory is one block's
 # activations, whatever the number of rows
 
 SCORE_BLOCK = 1024
 
 
 def _row_blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most SCORE_BLOCK rows covering 0..n in
-    order. A 1-row remainder joins the block before it: BLAS runs a 1-row
-    product as a matrix-vector product, whose bits differ from a block's."""
-    starts = list(range(0, n, SCORE_BLOCK))
-    if n > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+    """Consecutive slices covering 0..n in order: ceil(n / SCORE_BLOCK)
+    blocks (one, empty, for n = 0) cut at whole 8-row units as evenly as
+    possible. So no block has over SCORE_BLOCK rows, all but the last are
+    multiples of 8, and none has under SCORE_BLOCK // 2 once n > SCORE_BLOCK."""
+    k, units = max(1, -(-n // SCORE_BLOCK)), -(-n // 8)
+    ends = [min(n, 8 * (units * i // k)) for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
-def _by_blocks(x: np.ndarray, block, *outs: np.ndarray) -> tuple:
-    """Run `block` over the row blocks of `x`; its i-th result fills the
-    same rows of the i-th preallocated output. Returns the outputs."""
-    for rows in _row_blocks(x.shape[0]):
-        for out, part in zip(outs, block(x[rows])):
-            out[rows] = part
-    return outs
+def _by_blocks(x: np.ndarray, block) -> tuple:
+    """Run `block` over the row blocks of `x`; the i-th output joins the
+    i-th results of every block, in row order."""
+    parts = [block(x[rows]) for rows in _row_blocks(x.shape[0])]
+    return tuple(np.concatenate(results) for results in zip(*parts))
 
 
 def embed(f: Stack, x: np.ndarray, scale: float) -> np.ndarray:
@@ -435,14 +433,7 @@ def embed(f: Stack, x: np.ndarray, scale: float) -> np.ndarray:
     if scale <= 0.0:
         raise DomainError("embedding scale must be > 0")
     x = _as_input(x, (f,), "x")
-
-    def block(xb):
-        z = f.forward(xb, keep=False)
-        z /= scale
-        return (z,)
-
-    (out,) = _by_blocks(x, block, np.empty((x.shape[0], f.layers[-1].w.shape[1])))
-    return out
+    return _by_blocks(x, lambda xb: (f.forward(xb, keep=False) / scale,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +470,10 @@ class RdosrModel:
         no layer keeps a backward cache.
         """
         x = as_matrix(pixels, "pixels")
-        self.normalizer.apply(x[:0])  # checks the band count; blocks are normalized as scored
         if self.config.mode != "softmax" and (self.e is None or self.d is None):
             raise DomainError("model has no trained reconstruction branch")
-        n = x.shape[0]
-        outs = (np.empty(n), np.empty(n, dtype=np.int64)) if with_labels else (np.empty(n),)
-        outs = _by_blocks(x, lambda xb: self._score_block(xb, with_labels), *outs)
+        # each block is normalized as it is scored: the first checks the band count
+        outs = _by_blocks(x, lambda xb: self._score_block(xb, with_labels))
         return outs if with_labels else outs[0]
 
     def _score_block(self, xb: np.ndarray, with_labels: bool) -> tuple:

@@ -413,6 +413,24 @@ def test_eval_bins_below_one_exit_2_before_any_output(synth_dir, trained_dir, tm
     assert sorted(tmp_path.iterdir()) == []
 
 
+def test_eval_unwritable_hist_out_exit_2_before_any_output(synth_dir, trained_dir, tmp_path,
+                                                          capsys, monkeypatch):
+    # both output paths are checked before the checkpoint loads, so no roc.csv is left
+    (tmp_path / "afile").write_text("keep\n")
+    _refuse_to_run(monkeypatch, models, "load_checkpoint")
+    rc = cli.main(
+        ["eval", "--model", str(trained_dir), "--cube", str(synth_dir / "cube.hsid"),
+         "--labels", str(synth_dir / "labels.hsil"), "--roc-out", str(tmp_path / "roc.csv"),
+         "--hist-out", str(tmp_path / "afile" / "h.csv")]
+    )
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [f"error: {tmp_path / 'afile'} is not a directory"]
+    assert (tmp_path / "afile").read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
 def test_eval_runs_f_once_per_scored_pixel(synth_dir, trained_dir, monkeypatch, capsys):
     # the known pixels' scores and closed-set labels come from one F pass
     rows = []
@@ -775,6 +793,20 @@ def test_sweep_unwritable_report_exit_2_before_the_sweep(synth_dir, tmp_path, ca
     assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path / parent} is not a directory"]
     assert (tmp_path / "afile").read_text() == "keep\n"
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+def test_sweep_report_naming_a_directory_exit_2_before_the_sweep(synth_dir, tmp_path, capsys,
+                                                                  monkeypatch):
+    (tmp_path / "adir").mkdir()
+    _refuse_to_run(monkeypatch, openset, "sweep")
+    rc = cli.main(
+        ["sweep", "--cube", str(synth_dir / "cube.hsid"), "--labels",
+         str(synth_dir / "labels.hsil"), "--report", str(tmp_path / "adir")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path / 'adir'} is a directory"]
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+    assert list((tmp_path / "adir").iterdir()) == []
 
 
 # a worker that dies without raising: the pool breaks under the sweep

@@ -708,7 +708,12 @@ def _untrained_model(mode="rdosr", space="embedding", bands=64, n_known=5, seed=
     )
 
 
-_BLOCK_SIZES = (1, 2, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 2 * SCORE_BLOCK + 1,
+# sizes just past a multiple of SCORE_BLOCK: cut into full blocks plus the rest,
+# they end in a short block, where a product can take another BLAS path. One
+# pass over many thousands of rows can itself take another path, so the
+# references stay at a few thousand rows
+_BLOCK_SIZES = (1, 2, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, SCORE_BLOCK + 2,
+                SCORE_BLOCK + 33, SCORE_BLOCK + 61, 2 * SCORE_BLOCK + 1, 2 * SCORE_BLOCK + 2,
                 3 * SCORE_BLOCK + 1)
 
 
@@ -758,14 +763,19 @@ def test_block_embedding_bit_equal_to_one_whole_batch():
 
 @pytest.mark.parametrize(
     "n", [0, 1, 2, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, SCORE_BLOCK + 2,
-          2 * SCORE_BLOCK + 1, 5 * SCORE_BLOCK]
+          SCORE_BLOCK + 33, 2 * SCORE_BLOCK + 1, 2 * SCORE_BLOCK + 2, 5 * SCORE_BLOCK, 400_000]
 )
 def test_row_blocks_cover_rows_in_order_without_a_one_row_block(n):
     blocks = _row_blocks(n)
+    sizes = [b.stop - b.start for b in blocks]
     assert [i for b in blocks for i in range(n)[b]] == list(range(n))
-    assert all(b.stop - b.start <= SCORE_BLOCK + 1 for b in blocks)
+    assert len(blocks) == max(1, -(-n // SCORE_BLOCK))
+    assert all(size <= SCORE_BLOCK for size in sizes)
+    assert all(size % 8 == 0 for size in sizes[:-1])
+    if n > SCORE_BLOCK:
+        assert min(sizes) >= SCORE_BLOCK // 2
     if n > 1:
-        assert all(b.stop - b.start > 1 for b in blocks)
+        assert min(sizes) > 1
 
 
 def test_scoring_no_rows_gives_empty_outputs_of_the_whole_batch_types():
