@@ -120,11 +120,17 @@ def _require_directory(path: Path, parents: bool) -> None:
         raise CliError(f"{path} is not a directory")
 
 
-def _require_output_file(path: Path) -> None:
-    """Refuse, creating nothing, a file path that is a directory or lies in no directory."""
-    _require_directory(path.parent, parents=False)
-    if path.is_dir():
-        raise CliError(f"{path} is a directory")
+def _require_output_files(outputs: dict[str, str | None], inputs: dict[str, object]) -> None:
+    """Refuse, creating nothing, an output file path that is a directory, lies
+    in no directory, or resolves to one of `inputs` or to an earlier output."""
+    taken = {Path(path).resolve(): name for name, path in inputs.items() if path}
+    for flag, path in ((flag, Path(raw)) for flag, raw in outputs.items() if raw):
+        _require_directory(path.parent, parents=False)
+        if path.is_dir():
+            raise CliError(f"{path} is a directory")
+        other = taken.setdefault(path.resolve(), flag)
+        if other != flag:
+            raise CliError(f"{flag} {path} names the same file as {other}")
 
 
 def _sha256(path: Path) -> str:
@@ -225,9 +231,11 @@ def _resolve_model_path(raw: str) -> Path:
 def cmd_eval(args) -> int:
     if args.bins < 1:
         raise CliError("--bins must be >= 1")
-    for out in filter(None, (args.roc_out, args.hist_out)):
-        _require_output_file(Path(out))
-    model = models.load_checkpoint(_resolve_model_path(args.model))
+    model_path = _resolve_model_path(args.model)
+    _require_output_files({"--roc-out": args.roc_out, "--hist-out": args.hist_out},
+                          {"the checkpoint": model_path, "the cube": args.cube,
+                           "the labels": args.labels})
+    model = models.load_checkpoint(model_path)
     dataset, _, _ = _load_dataset({"cube": args.cube, "labels": args.labels})
     parts = data.split(
         dataset,
@@ -261,7 +269,8 @@ def cmd_sweep(args) -> int:
     train_fraction = _coerce("train_fraction", values.get("train_fraction", "0.5"), float)
     config = build_train_config(values)
     dataset, _, _ = _load_dataset(values)
-    _require_output_file(Path(args.report))
+    _require_output_files({"--report": args.report}, {"the cube": values["cube"],
+                          "the labels": values["labels"], "the config file": args.config})
     report = openset.sweep(dataset, config, train_fraction, jobs=args.jobs)
     openset.export_sweep(args.report, report)
     print(f"average_auc={report.average_auc:.4f}")
@@ -341,7 +350,3 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

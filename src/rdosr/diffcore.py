@@ -233,11 +233,16 @@ def _affine(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def affine_backward(d_out: np.ndarray, w: np.ndarray, x: np.ndarray):
-    """Gradients of `affine` given upstream d_out: returns (d_w, d_b, d_x)."""
-    d_w = x.T @ d_out
-    d_b = d_out.sum(axis=0, keepdims=True)
-    d_x = d_out @ w.T
-    return d_w, d_b, d_x
+    """Gradients of `affine` given upstream d_out: new (d_w, d_b, d_x) from the layers' kernel."""
+    d_w, d_b = np.empty(w.shape), np.empty((1, w.shape[1]))
+    return d_w, d_b, _affine_backward(d_out, w, x, d_w, d_b)
+
+
+def _affine_backward(d_out, w, x, d_w, d_b) -> np.ndarray:
+    # writes the weight and bias gradients over d_w and d_b; returns d_x
+    np.matmul(x.T, d_out, out=d_w)
+    d_out.sum(axis=0, keepdims=True, out=d_b)
+    return d_out @ w.T
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -357,11 +362,8 @@ class AffineLayer:
         return y
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        # the bits of affine_backward, written into the gradient views
         x, self._x = self._x, None
-        np.matmul(x.T, d_out, out=self.w.grad)
-        d_out.sum(axis=0, keepdims=True, out=self.b.grad)
-        return d_out @ self.w.value.T
+        return _affine_backward(d_out, self.w.value, x, self.w.grad, self.b.grad)
 
     def named_params(self, prefix: str) -> list[tuple[str, ParamBlock]]:
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]

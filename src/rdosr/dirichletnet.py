@@ -84,8 +84,7 @@ def stick_break(v) -> np.ndarray:
 def _leftover_before(v: np.ndarray) -> np.ndarray:
     # prev[:, j] = prod_{o<j} (1 - v_o), with prev[:, 0] = 1
     prev = np.ones_like(v)
-    if v.shape[1] > 1:
-        prev[:, 1:] = np.cumprod(1.0 - v[:, :-1], axis=1)
+    prev[:, 1:] = np.cumprod(1.0 - v[:, :-1], axis=1)
     return prev
 
 

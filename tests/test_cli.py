@@ -809,6 +809,45 @@ def test_sweep_report_naming_a_directory_exit_2_before_the_sweep(synth_dir, tmp_
     assert list((tmp_path / "adir").iterdir()) == []
 
 
+_EVAL = ["eval", "--model", "run", "--cube", "cube.hsid", "--labels", "labels.hsil"]
+_SWEEP = ["sweep", "--cube", "cube.hsid", "--labels", "labels.hsil", "--config", "run.cfg"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_EVAL + ["--roc-out", "x.csv", "--hist-out", "./x.csv"],
+         "--hist-out x.csv names the same file as --roc-out"),
+        (_EVAL + ["--roc-out", "run/../cube.hsid"],
+         "--roc-out run/../cube.hsid names the same file as the cube"),
+        (_EVAL + ["--hist-out", "labels.hsil"],
+         "--hist-out labels.hsil names the same file as the labels"),
+        (_EVAL + ["--roc-out", "run/model.rdck"],
+         "--roc-out run/model.rdck names the same file as the checkpoint"),
+        (_SWEEP + ["--report", "./cube.hsid"],
+         "--report cube.hsid names the same file as the cube"),
+    ],
+    ids=["roc_is_hist", "roc_is_cube", "hist_is_labels", "roc_is_checkpoint", "report_is_cube"],
+)
+def test_output_naming_an_input_or_the_other_output_exit_2_and_writes_nothing(
+        synth_dir, trained_dir, config_file, tmp_path, capsys, monkeypatch, argv, message):
+    # copies, so that a write over an input cannot reach the shared fixtures
+    (tmp_path / "run").mkdir()
+    for source, name in [(synth_dir / "cube.hsid", "cube.hsid"), (config_file, "run.cfg"),
+                         (synth_dir / "labels.hsil", "labels.hsil"),
+                         (trained_dir / "model.rdck", "run/model.rdck"), (config_file, "x.csv")]:
+        (tmp_path / name).write_bytes(source.read_bytes())
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    _refuse_to_run(monkeypatch, models, "load_checkpoint")
+    _refuse_to_run(monkeypatch, openset, "sweep")
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(argv)
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.splitlines() == [f"error: {message}"]
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 # a worker that dies without raising: the pool breaks under the sweep
 DYING_WORKER = """
 import os

@@ -71,19 +71,22 @@ def test_affine_layer_backward_writes_the_bits_of_affine_backward():
     rng = np.random.default_rng(8)
     layer = AffineLayer(64, 512, bias=0.1)
     bind([layer.w, layer.b], rng)
-    x = rng.normal(size=(256, 64))
-    d_out = rng.normal(size=(256, 512))
-    d_out[:, :3] = [0.0, -0.0, 1e-300]  # columns whose sums are exact or tiny
-    # stale values the write must replace, not add to
-    layer.w.grad[...] = np.nan
-    layer.b.grad[...] = 1.0
-    layer.forward(x)
-    d_x = layer.backward(d_out)
-    d_w, d_b, ref_d_x = affine_backward(d_out, layer.w.value, x)
-    assert np.array_equal(layer.w.grad.view(np.int64), d_w.view(np.int64))
-    assert np.array_equal(layer.b.grad.view(np.int64), d_b.view(np.int64))
-    assert np.array_equal(d_x.view(np.int64), ref_d_x.view(np.int64))
-    assert layer._x is None  # backward consumed the cache
+    # 33 and 225 are ragged row counts at which a product's bits can depend
+    # on the BLAS kernel and thread count
+    for rows in (256, 1, 33, 225):
+        x = rng.normal(size=(rows, 64))
+        d_out = rng.normal(size=(rows, 512))
+        d_out[:, :3] = [0.0, -0.0, 1e-300]  # columns whose sums are exact or tiny
+        # stale values the write must replace, not add to
+        layer.w.grad[...] = np.nan
+        layer.b.grad[...] = 1.0
+        layer.forward(x)
+        d_x = layer.backward(d_out)
+        d_w, d_b, ref_d_x = affine_backward(d_out, layer.w.value, x)
+        assert np.array_equal(layer.w.grad.view(np.int64), d_w.view(np.int64)), rows
+        assert np.array_equal(layer.b.grad.view(np.int64), d_b.view(np.int64)), rows
+        assert np.array_equal(d_x.view(np.int64), ref_d_x.view(np.int64)), rows
+        assert layer._x is None  # backward consumed the cache
 
 
 # ---------------------------------------------------------------------------
